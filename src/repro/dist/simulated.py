@@ -336,12 +336,8 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
         # tiny test workloads: pad with minimum-length utterances
         pad = np.full(w - len(lengths) + 1, cfg.hmm.min_length, dtype=np.int64)
         lengths = np.concatenate([lengths, pad])
-    assignment = part_fn(lengths.tolist(), w)
+    assignment = part_fn(lengths, w)
     grad_frames = assignment.frames_per_worker()
-
-    worker_of_utt = np.empty(len(lengths), dtype=np.int64)
-    for wi, utts in enumerate(assignment.workers):
-        worker_of_utt[list(utts)] = wi
 
     heldout = np.full(w, cfg.workload.heldout_frames // w, dtype=np.int64)
     heldout[: cfg.workload.heldout_frames % w] += 1
@@ -358,7 +354,8 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
     curv: list[np.ndarray] = []
     frac = cfg.workload.curvature_fraction
     if cfg.curvature_sampling == "utterance":
-        worker_lengths = [lengths[list(utts)] for utts in assignment.workers]
+        order, bounds = assignment.grouped()
+        by_worker = lengths[order]
     for it in range(cfg.script.n_iterations):
         rng = spawn(cfg.seed, "sim-curv", it)
         if cfg.curvature_sampling == "frame":
@@ -369,10 +366,9 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
             ).astype(np.int64)
         else:
             frames = np.zeros(w, dtype=np.int64)
-            for wi, wl_lens in enumerate(worker_lengths):
-                if wl_lens.size == 0:
-                    continue
-                target = max(1, int(round(frac * int(wl_lens.sum()))))
+            for wi in range(w):
+                wl_lens = by_worker[bounds[wi] : bounds[wi + 1]]
+                target = max(1, int(round(frac * int(grad_frames[wi]))))
                 start = int(rng.integers(0, wl_lens.size))
                 rolled = np.roll(wl_lens, -start)
                 cum = np.cumsum(rolled)
@@ -380,14 +376,11 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
                 frames[wi] = int(cum[min(stop, len(cum)) - 1])
         curv.append(frames)
 
-    shard_bytes = np.array(
-        [cfg.workload.shard_bytes(int(f)) for f in grad_frames], dtype=np.int64
-    )
     return _Plan(
         grad_frames=grad_frames,
         heldout_frames=heldout,
         curv_frames=curv,
-        shard_bytes=shard_bytes,
+        shard_bytes=cfg.workload.shard_bytes(grad_frames),
     )
 
 

@@ -233,18 +233,22 @@ def make_frame_shards(
     contiguously (held-out balance matters less — it is evaluated, not
     differentiated, and it is small).
     """
-    if sum(utt_lengths) != x.shape[0]:
+    if np.sum(utt_lengths) != x.shape[0]:
         raise ValueError(
-            f"utterance lengths sum to {sum(utt_lengths)}, x has {x.shape[0]} frames"
+            f"utterance lengths sum to {np.sum(utt_lengths)}, x has {x.shape[0]} frames"
         )
-    assignment = partitioner(utt_lengths, n_workers)
-    starts = np.concatenate([[0], np.cumsum(utt_lengths)])
+    order, bounds = partitioner(utt_lengths, n_workers).grouped()
+    lengths = np.asarray(utt_lengths, dtype=np.int64)
+    # every frame index, utterances in worker order: a worker's are one slice
+    by_worker = lengths[order]
+    ends = np.cumsum(by_worker)
+    first_frame = (np.cumsum(lengths) - lengths)[order]
+    frame_ids = np.arange(x.shape[0]) + np.repeat(first_frame - (ends - by_worker), by_worker)
+    cuts = np.concatenate([[0], ends])[bounds]
     h_bounds = np.linspace(0, heldout_x.shape[0], n_workers + 1).astype(int)
     shards = []
-    for w, utts in enumerate(assignment.workers):
-        ids = np.concatenate(
-            [np.arange(starts[u], starts[u + 1]) for u in utts]
-        ) if utts else np.empty(0, dtype=np.int64)
+    for w in range(n_workers):
+        ids = frame_ids[cuts[w] : cuts[w + 1]]
         shards.append(
             FrameShard(
                 x=x[ids],
@@ -259,6 +263,22 @@ def make_frame_shards(
     return shards
 
 
+def _gather_utterances(
+    x: np.ndarray, spans: Sequence[UtteranceSpan], utts: np.ndarray
+) -> tuple[np.ndarray, list[UtteranceSpan]]:
+    """Frames of utterances ``utts`` concatenated, spans rebased onto them."""
+    pieces, rebased = [], []
+    pos = 0
+    for u in utts.tolist():
+        s = spans[u]
+        pieces.append(x[s.start : s.end])
+        length = s.end - s.start
+        rebased.append(UtteranceSpan(pos, pos + length, s.states))
+        pos += length
+    gathered = np.concatenate(pieces, axis=0) if pieces else np.empty((0, x.shape[1]))
+    return gathered, rebased
+
+
 def make_sequence_shards(
     x: np.ndarray,
     spans: Sequence[UtteranceSpan],
@@ -268,50 +288,26 @@ def make_sequence_shards(
     partitioner: Callable[[Sequence[int], int], Assignment] = balanced_partition,
 ) -> list[SequenceShard]:
     """Split utterance-structured data into per-worker shards."""
-    lengths = [s.end - s.start for s in spans]
-    assignment = partitioner(lengths, n_workers)
-    h_assign = (
-        partitioner([s.end - s.start for s in heldout_spans], n_workers)
-        if len(heldout_spans) >= n_workers
-        else None
-    )
+    order, bounds = partitioner([s.end - s.start for s in spans], n_workers).grouped()
+    if len(heldout_spans) >= n_workers:
+        h_order, h_bounds = partitioner(
+            [s.end - s.start for s in heldout_spans], n_workers
+        ).grouped()
+    else:  # too few to spread: worker 0 evaluates them all
+        h_order = np.arange(len(heldout_spans))
+        h_bounds = np.r_[0, np.full(n_workers, len(heldout_spans))]
     shards = []
-    for w, utts in enumerate(assignment.workers):
-        pieces, rebased = [], []
-        pos = 0
-        for u in utts:
-            s = spans[u]
-            pieces.append(x[s.start : s.end])
-            length = s.end - s.start
-            rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        sx = (
-            np.concatenate(pieces, axis=0)
-            if pieces
-            else np.empty((0, x.shape[1]))
-        )
-        if h_assign is not None:
-            h_utts = h_assign.workers[w]
-        else:
-            h_utts = tuple(range(len(heldout_spans))) if w == 0 else ()
-        h_pieces, h_rebased = [], []
-        pos = 0
-        for u in h_utts:
-            s = heldout_spans[u]
-            h_pieces.append(heldout_x[s.start : s.end])
-            length = s.end - s.start
-            h_rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        hx = (
-            np.concatenate(h_pieces, axis=0)
-            if h_pieces
-            else np.empty((0, heldout_x.shape[1]))
+    for w in range(n_workers):
+        utts = order[bounds[w] : bounds[w + 1]]
+        sx, rebased = _gather_utterances(x, spans, utts)
+        hx, h_rebased = _gather_utterances(
+            heldout_x, heldout_spans, h_order[h_bounds[w] : h_bounds[w + 1]]
         )
         shards.append(
             SequenceShard(
                 x=sx,
                 spans=rebased,
-                global_utt_ids=np.array(utts, dtype=np.int64),
+                global_utt_ids=utts,
                 heldout_x=hx,
                 heldout_spans=h_rebased,
             )

@@ -111,8 +111,9 @@ class SimWorkload:
         """Wire size of one weight broadcast / gradient reduction."""
         return self.geometry.n_params * self.dtype_bytes
 
-    def shard_bytes(self, frames: int) -> int:
-        """Wire size of one worker's training shard (load_data)."""
+    def shard_bytes(self, frames: int | np.ndarray) -> int | np.ndarray:
+        """Wire size of one worker's training shard (load_data); an
+        array of frame counts gives the array of sizes."""
         return frames * self.geometry.layer_dims[0] * self.dtype_bytes
 
     # ----------------------------------------------------- per-phase seconds

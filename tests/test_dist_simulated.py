@@ -3,6 +3,8 @@ the full DES — including real collective algorithms — executes)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgq import LinuxJitter, RunShape
 from repro.dist import (
@@ -15,7 +17,9 @@ from repro.dist import (
     default_script,
     simulate_training,
 )
+from repro.dist.simulated import _build_plan, _draw_utterance_lengths
 from repro.speech import HmmSpec
+from repro.util.rng import spawn
 
 SMALL_GEOM = ModelGeometry((40, 128, 128, 50))
 
@@ -283,3 +287,93 @@ class TestLoadDataModes:
             small_config(load_data_fanout=1)
         with pytest.raises(ValueError, match="io_aggregate"):
             small_config(io_aggregate_bandwidth=0.0)
+
+
+# ---------------------------------------------------------------- the plan
+def _plan_reference(cfg):
+    """``_build_plan`` one worker at a time, from the utterance lists."""
+    lengths = _draw_utterance_lengths(cfg).tolist()
+    w = cfg.n_workers
+    if len(lengths) < w:
+        lengths += [cfg.hmm.min_length] * (w - len(lengths) + 1)
+    if cfg.partitioner == "naive":
+        owned = [list(range(wi, len(lengths), w)) for wi in range(w)]
+    else:
+        owned = [[] for _ in range(w)]
+        for u in sorted(range(len(lengths)), key=lambda u: (-lengths[u], u)):
+            lightest = min(range(w), key=lambda wi: sum(lengths[v] for v in owned[wi]))
+            owned[lightest].append(u)
+        owned = [sorted(utts) for utts in owned]
+    grad = [sum(lengths[u] for u in utts) for utts in owned]
+    held = cfg.workload.heldout_frames
+    frac = cfg.workload.curvature_fraction
+    curv = []
+    for it in range(cfg.script.n_iterations):
+        rng = spawn(cfg.seed, "sim-curv", it)
+        if cfg.curvature_sampling == "frame":
+            jitter = np.clip(rng.normal(1.0, cfg.curvature_jitter, size=w), 0.5, 1.5)
+            curv.append(
+                [max(1, round(max(1, round(frac * f)) * j)) for f, j in zip(grad, jitter)]
+            )
+        else:  # whole utterances from a random start until the share is reached
+            frames = []
+            for utts, f in zip(owned, grad):
+                start = int(rng.integers(0, len(utts)))
+                target, got = max(1, round(frac * f)), 0
+                for u in utts[start:] + utts[:start]:
+                    got += lengths[u]
+                    if got >= target:
+                        break
+                frames.append(got)
+            curv.append(frames)
+    return {
+        "lengths": lengths,
+        "owned": owned,
+        "grad_frames": grad,
+        "heldout_frames": [held // w + (wi < held % w) for wi in range(w)],
+        "curv_frames": curv,
+        "shard_bytes": [cfg.workload.shard_bytes(f) for f in grad],
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ranks=st.integers(2, 24),
+    train_frames=st.integers(100, 30_000),
+    seed=st.integers(0, 2**16),
+    partitioner=st.sampled_from(["balanced", "naive"]),
+    sampling=st.sampled_from(["frame", "utterance"]),
+)
+def test_build_plan_matches_per_worker_reference(
+    ranks, train_frames, seed, partitioner, sampling
+):
+    cfg = small_config(
+        ranks=ranks,
+        workload=small_workload(train_frames=train_frames, heldout_frames=train_frames // 7),
+        seed=seed,
+        partitioner=partitioner,
+        curvature_sampling=sampling,
+    )
+    plan, ref = _build_plan(cfg), _plan_reference(cfg)
+    assert plan.grad_frames.tolist() == ref["grad_frames"]
+    assert plan.heldout_frames.tolist() == ref["heldout_frames"]
+    assert [c.tolist() for c in plan.curv_frames] == ref["curv_frames"]
+    assert plan.shard_bytes.tolist() == ref["shard_bytes"]
+    assert plan.grad_frames.sum() == sum(ref["lengths"])
+    for arr in (plan.grad_frames, plan.heldout_frames, plan.shard_bytes, *plan.curv_frames):
+        assert arr.dtype == np.int64 and arr.shape == (cfg.n_workers,)
+
+
+@pytest.mark.parametrize("partitioner", ["balanced", "naive"])
+def test_build_plan_pads_tiny_workloads_to_one_utterance_per_worker(partitioner):
+    cfg = small_config(
+        ranks=33,
+        workload=small_workload(train_frames=300),
+        partitioner=partitioner,
+        curvature_sampling="utterance",
+    )
+    assert len(_draw_utterance_lengths(cfg)) < cfg.n_workers  # the padded path
+    plan, ref = _build_plan(cfg), _plan_reference(cfg)
+    assert sorted(len(utts) for utts in ref["owned"]) == [1] * 31 + [2]
+    assert plan.grad_frames.tolist() == ref["grad_frames"]
+    assert plan.grad_frames.min() >= cfg.hmm.min_length
