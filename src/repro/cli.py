@@ -306,13 +306,16 @@ def cmd_perf(args: argparse.Namespace) -> int:
     ranks = (
         [int(r) for r in args.ranks.split(",") if r] if args.ranks else None
     )
-    payload = run_perf(
-        repeats=args.repeats,
-        quick=args.quick,
-        ranks=ranks,
-        shards=args.shards,
-        speculate=args.speculate,
-    )
+    try:
+        payload = run_perf(
+            repeats=args.repeats,
+            quick=args.quick,
+            ranks=ranks,
+            shards=args.shards,
+            speculate=args.speculate,
+        )
+    except ValueError as exc:  # a shard count the engine rejects
+        raise SystemExit(f"repro perf: {exc}") from None
     if args.json:
         out = write_bench_json(payload, args.out or BENCH_FILENAME)
         print(f"wrote {out}")

@@ -927,6 +927,8 @@ def simulate_training(
     protocol; ``None`` follows the ``REPRO_SIM_SPECULATE`` env toggle
     (default off).  Committed results are bit-identical either way.
     """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     plan = _build_plan(cfg)
     network = cfg.network
     if network is None:

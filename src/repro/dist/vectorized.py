@@ -174,8 +174,26 @@ def _torus_hops(dims: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
     return total
 
 
+def _edge_keys(network: Any, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Cost-class key per edge: the torus hop count, -1 for a same-node
+    pair; the uniform model has the single key 0 (tree edges never
+    self-send)."""
+    if type(network) is UniformNetwork:
+        return np.zeros(len(src), dtype=np.int64)
+    rpn = network.ranks_per_node
+    node_s = np.asarray(src, dtype=np.int64) // rpn
+    node_d = np.asarray(dst, dtype=np.int64) // rpn
+    hops = _torus_hops(network.torus.dims, node_s, node_d)
+    return np.where(node_s == node_d, np.int64(-1), hops)
+
+
 def _edge_costs(
-    network: Any, src: np.ndarray, dst: np.ndarray, nbytes: Any
+    network: Any,
+    src: np.ndarray,
+    dst: np.ndarray,
+    nbytes: Any,
+    key: np.ndarray,
+    table: dict[tuple[int, int], tuple[float, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge ``(transfer, wire)`` arrays via the model's own scalar calls.
 
@@ -184,30 +202,36 @@ def _edge_costs(
     class on the uniform model — and one representative edge per class is
     priced with ``p2p_time``/``wire_time``.  Exact because both eligible
     models' costs depend only on the class key and the byte count.
+
+    ``key`` is :func:`_edge_keys` of the edges (one array serves every
+    byte size priced over them) and ``table`` the run-wide
+    ``(key, nbytes) -> (transfer, wire)`` memo, so a class is priced once
+    per run however many tree levels it appears on.  Keys are small
+    integers, so a class id is ``key + 1`` — strided by the distinct byte
+    sizes when ``nbytes`` is per-edge — and one scatter into a table that
+    dense finds a representative of every class present with no sort
+    (which edge of a class lands there is immaterial: they cost the same).
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    n = src.size
-    sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (n,))
-    if type(network) is UniformNetwork:
-        key = np.zeros(n, dtype=np.int64)  # tree edges never self-send
+    sizes = np.asarray(nbytes, dtype=np.int64)
+    cls = key + 1
+    if sizes.ndim:
+        sizes, size_idx = np.unique(sizes, return_inverse=True)
+        cls = cls * len(sizes) + size_idx
     else:
-        rpn = network.ranks_per_node
-        node_s = src // rpn
-        node_d = dst // rpn
-        hops = _torus_hops(network.torus.dims, node_s, node_d)
-        key = np.where(node_s == node_d, np.int64(-1), hops)
-    classes = np.stack([key, sizes], axis=1)
-    uniq, inv = np.unique(classes, axis=0, return_inverse=True)
-    first = np.empty(len(uniq), dtype=np.int64)
-    first[inv[::-1]] = np.arange(n - 1, -1, -1)  # first edge of each class
-    transfer = np.empty(len(uniq), dtype=np.float64)
-    wire = np.empty(len(uniq), dtype=np.float64)
-    for c, j in enumerate(first):
-        s, d, b = int(src[j]), int(dst[j]), int(sizes[j])
-        transfer[c] = network.p2p_time(s, d, b)
-        wire[c] = network.wire_time(s, d, b)
-    return transfer[inv], wire[inv]
+        sizes = sizes.reshape(1)
+    n_classes = (int(key.max()) + 2) * len(sizes)
+    rep = np.full(n_classes, -1, dtype=np.int64)
+    rep[cls] = np.arange(len(cls), dtype=np.int64)
+    transfer = np.empty(n_classes, dtype=np.float64)
+    wire = np.empty(n_classes, dtype=np.float64)
+    for c in np.flatnonzero(rep >= 0).tolist():
+        j = rep[c]
+        s, d, b = int(src[j]), int(dst[j]), int(sizes[c % len(sizes)])
+        entry = (int(key[j]), b)
+        if entry not in table:
+            table[entry] = network.p2p_time(s, d, b), network.wire_time(s, d, b)
+        transfer[c], wire[c] = table[entry]
+    return transfer[cls], wire[cls]
 
 
 # ----------------------------------------------------------------- executor
@@ -254,11 +278,17 @@ class _VectorRun:
         self.busy_dn = np.zeros(p, dtype=np.float64)
 
         self.levels = binomial_levels(p)
+        self.cost_table: dict[tuple[int, int], tuple[float, float]] = {}
+        """Run-wide ``(class key, nbytes) -> (transfer, wire)`` memo."""
+        keys = [_edge_keys(network, s, r) for _, s, r in self.levels]
         # (transfer, wire) per level, shared by both sweep directions:
         # both models' costs are symmetric in (src, dst).
         self.cost_sets = [
-            [_edge_costs(network, s, r, _SYNC_BYTES) for _, s, r in self.levels],
-            [_edge_costs(network, s, r, _LOSS_BYTES) for _, s, r in self.levels],
+            [
+                _edge_costs(network, s, r, nbytes, key, self.cost_table)
+                for (_, s, r), key in zip(self.levels, keys)
+            ]
+            for nbytes in (_SYNC_BYTES, _LOSS_BYTES)
         ]
         self.inj_sets = [
             network.injection_time(_SYNC_BYTES),
@@ -481,7 +511,9 @@ class _VectorRun:
             # (ctx.send yields each one); cumsum IS that left fold
             csum = np.cumsum(injs)
             t_send = np.concatenate(([0.0], csum[:-1]))
-            transfer, wire = _edge_costs(network, src, dst, shard)
+            transfer, wire = _edge_costs(
+                network, src, dst, shard, _edge_keys(network, src, dst), self.cost_table
+            )
             end_wire = t_send + wire  # first use of every (0, w) pair
             delay = np.maximum(t_send + transfer, end_wire) - t_send
             arrival = t_send + np.maximum(delay, injs)
@@ -710,13 +742,22 @@ def run_vectorized(
     committed values are identical either way.
     """
     run = _VectorRun(cfg, plan, network, policy, comm, load_done)
-    if shards > 1:
-        from repro.sim.shard import ShardPool
+    pool = None
+    try:
+        if shards > 1:
+            from repro.sim.shard import ShardPool
 
-        pool = ShardPool(run, shards, obs=comm.obs, speculate=speculate)
-        run.backend = pool
-        try:
-            return run.execute(), run.phase_log
-        finally:
+            pool = run.backend = ShardPool(
+                run, shards, obs=comm.obs, speculate=speculate
+            )
+        return run.execute(), run.phase_log
+    finally:
+        if pool is not None:
             pool.close()
-    return run.execute(), run.phase_log
+        # The phase closures and the backend point back at the run: left
+        # in place, the cycle keeps the communicator, the plan, the cost
+        # arrays and the tracer's bulk spans alive until a full
+        # collection happens to run.  Broken here, they go by refcount
+        # the moment the caller drops the result.
+        run.phases.clear()
+        run.backend = None

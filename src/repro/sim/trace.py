@@ -15,6 +15,7 @@ linear scan, so totals are bit-identical.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 __all__ = ["Span", "Tracer"]
@@ -47,7 +48,7 @@ class Tracer:
     left-fold in that same order.
     """
 
-    __slots__ = ("spans", "_by_process", "_all", "_bulk", "_bulk_index", "_bulk_names")
+    __slots__ = ("spans", "_by_process", "_all", "_bulk", "_bulk_names")
 
     def __init__(self, spans: list[Span] | None = None) -> None:
         self.spans: list[Span] = []
@@ -55,8 +56,7 @@ class Tracer:
         self._all: dict[str, float] = {}
         # bulk (vectorized) aggregates: label -> [(base_row, ndarray)]
         self._bulk: dict[str, list[tuple[int, object]]] = {}
-        self._bulk_index: dict[str, int] = {}
-        self._bulk_names: list[str] = []
+        self._bulk_names: Sequence[str] = ()
         if spans:
             for s in spans:
                 self.record(s.process, s.label, s.start, s.end)
@@ -81,16 +81,24 @@ class Tracer:
         return span
 
     # ------------------------------------------------------- bulk (vectorized)
-    def register_bulk(self, names: list[str]) -> None:
+    def register_bulk(self, names: Sequence[str]) -> None:
         """Declare the process rows bulk arrays index into.
 
         ``names[i]`` is the process name whose durations live at row
         ``i`` of every array later passed to :meth:`add_bulk` (offset by
-        that call's ``base``).  The vectorized executor registers
-        ``["rank0", ..., "rankN-1"]`` once per run.
+        that call's ``base``).  The vectorized executor registers its
+        communicator's rank names once per run.  The sequence is kept,
+        not copied or indexed: a per-process query finds its row with
+        ``names.index``, which the communicator's names answer in O(1).
         """
-        self._bulk_names = list(names)
-        self._bulk_index = {n: i for i, n in enumerate(self._bulk_names)}
+        self._bulk_names = names
+
+    def _fold_bulk_row(self, out: dict[str, float], idx: int) -> None:
+        """Add bulk row ``idx``'s duration under every label covering it."""
+        for label, segments in self._bulk.items():
+            for base, arr in segments:
+                if base <= idx < base + len(arr):  # type: ignore[arg-type]
+                    out[label] = out.get(label, 0.0) + float(arr[idx - base])  # type: ignore[index]
 
     def add_bulk(self, label: str, base: int, values) -> None:
         """Fold per-process durations for ``label`` in one array op.
@@ -151,12 +159,11 @@ class Tracer:
                 out[label] = acc
             return out
         out = dict(self._by_process.get(process, ()))
-        idx = self._bulk_index.get(process)
-        if idx is not None:
-            for label, segments in self._bulk.items():
-                for base, arr in segments:
-                    if base <= idx < base + len(arr):  # type: ignore[arg-type]
-                        out[label] = out.get(label, 0.0) + float(arr[idx - base])  # type: ignore[index]
+        try:
+            idx = self._bulk_names.index(process)
+        except ValueError:
+            return out
+        self._fold_bulk_row(out, idx)
         return out
 
     def spans_by_process(self) -> dict[str, list[Span]]:
@@ -179,9 +186,10 @@ class Tracer:
     def by_process(self) -> dict[str, dict[str, float]]:
         """Per-process label totals, spanning both recording surfaces."""
         out = {p: dict(d) for p, d in self._by_process.items()}
-        for name in self._bulk_names:
-            if self._bulk:
-                merged = self.totals(name)
+        if self._bulk:
+            for idx, name in enumerate(self._bulk_names):
+                merged = out.get(name, {})
+                self._fold_bulk_row(merged, idx)
                 if merged:
                     out[name] = merged
         return out
@@ -190,9 +198,9 @@ class Tracer:
         """Names of processes with at least one span or bulk row."""
         names = list(self._by_process)
         seen = set(names)
-        for n in self._bulk_names:
+        for idx, n in enumerate(self._bulk_names):
             if n not in seen and any(
-                base <= self._bulk_index[n] < base + len(arr)  # type: ignore[arg-type]
+                base <= idx < base + len(arr)  # type: ignore[arg-type]
                 for segs in self._bulk.values()
                 for base, arr in segs
             ):

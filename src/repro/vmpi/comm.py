@@ -29,7 +29,10 @@ the oldest-matching-message-wins FIFO order of a linear inbox exactly.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from typing import Any, Callable, Generator, Iterable, NamedTuple
+
+import numpy as np
 
 from repro.analysis.runtime import CollectiveOrderChecker
 from repro.sim.engine import Engine, Get, GetTimeout, SimError, Timeout
@@ -91,6 +94,37 @@ def _fmt_tag(tag: int) -> str:
     return "ANY_TAG" if tag == ANY_TAG else str(tag)
 
 
+class _RankNames(Sequence):
+    """``["rank0", ..., "rank<size-1>"]`` without the list.
+
+    A communicator names its ranks for process labels, trace rows and
+    deadlock reports; a 262144-rank vector run never asks for one of
+    them, so each name is made when it is read.  ``index`` is the O(1)
+    inverse the tracer's per-process queries use.
+    """
+
+    __slots__ = ("_size",)
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, rank: int) -> str:  # type: ignore[override]
+        if not 0 <= rank < self._size:
+            raise IndexError(rank)
+        return f"rank{rank}"
+
+    def index(self, name: str) -> int:  # type: ignore[override]
+        digits = name[4:]
+        if name[:4] == "rank" and digits.isdecimal():
+            rank = int(digits)
+            if rank < self._size and name == f"rank{rank}":
+                return rank
+        raise ValueError(f"{name!r} is not one of {self._size} rank names")
+
+
 class Message(NamedTuple):
     """One in-flight or delivered message."""
 
@@ -136,7 +170,7 @@ class Mailbox:
     )
 
     def __init__(
-        self, engine: Engine, name: str, rank_names: list[str] | None = None
+        self, engine: Engine, name: str, rank_names: Sequence[str] | None = None
     ) -> None:
         self.engine = engine
         self.name = name
@@ -303,11 +337,12 @@ class VComm:
         schedule divergence raises
         :class:`~repro.analysis.runtime.CollectiveOrderError` naming the
         offending ranks instead of deadlocking opaquely."""
-        self._rank_names = [f"rank{r}" for r in range(size)]
-        self._inboxes: list[Mailbox] = [
-            Mailbox(self.engine, f"inbox[{r}]", self._rank_names)
-            for r in range(size)
-        ]
+        self._rank_names = _RankNames(size)
+        self._inboxes: list[Mailbox] = []
+        """One inbox per rank, built by :meth:`run` — the only place
+        ranks are spawned and so the only place a message can land.  An
+        executor that replays the run as array phases never calls it and
+        allocates nothing per rank."""
         self.obs = obs
         """Attached :class:`~repro.obs.metrics.MetricsRegistry`, or None."""
         self.coll_policy = coll_policy
@@ -341,8 +376,6 @@ class VComm:
             self.coll_stats = CollectiveStats().attach(obs)
             self.comm_stats = CommStats(size).attach(obs)
             self._obs_log = self.comm_stats.log
-            for box in self._inboxes:
-                box.obs_log = self._obs_log
             self.engine.attach_obs(obs)
         self._sends = 0
         self._bytes_sent = 0
@@ -423,6 +456,14 @@ class VComm:
             raise ValueError(
                 f"got {len(programs)} programs for {self.size} ranks"
             )
+        if not self._inboxes:
+            names = self._rank_names
+            self._inboxes = [
+                Mailbox(self.engine, f"inbox[{r}]", names) for r in range(self.size)
+            ]
+            if self._obs_log is not None:
+                for box in self._inboxes:
+                    box.obs_log = self._obs_log
         ctxs = [RankCtx(self, r) for r in range(self.size)]
         procs = [
             self.engine.process(prog(ctx), name=self._rank_names[r])
@@ -446,14 +487,15 @@ class VComm:
         before any run completes."""
         return self._rank_finish_times
 
-    def set_rank_finish_times(self, times: list[float]) -> None:
-        """Record per-rank finish times on behalf of an executor that
-        bypasses :meth:`run` (the vectorized SPMD path)."""
+    def set_rank_finish_times(self, times: "Sequence[float] | np.ndarray") -> None:
+        """Record per-rank finish times (a float sequence or array) on
+        behalf of an executor that bypasses :meth:`run` (the vectorized
+        SPMD path)."""
         if len(times) != self.size:
             raise ValueError(
                 f"got {len(times)} finish times for {self.size} ranks"
             )
-        self._rank_finish_times = [float(t) for t in times]
+        self._rank_finish_times = np.asarray(times, dtype=np.float64).tolist()
 
 
 class RankCtx:

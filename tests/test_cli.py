@@ -56,3 +56,16 @@ def test_calibrate_command_runs(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "cg_iters" in out
+
+
+@pytest.mark.parametrize(
+    "shards,message",
+    [("0", "shards must be >= 1, got 0"), ("3", "power of two")],
+)
+def test_perf_rejects_a_bad_shard_count_in_one_line(shards, message):
+    """``--shards 0`` used to print a single-shard row as if asked for."""
+    with pytest.raises(SystemExit) as exc:
+        main(["perf", "--quick", "--repeats", "1", "--shards", shards])
+    text = str(exc.value)
+    assert text.startswith("repro perf: ") and message in text
+    assert "\n" not in text

@@ -7,9 +7,11 @@ whose HWM *must* stay at one message.
 """
 
 import json
+import sys
 
 import pytest
 
+from repro.bgq.network import TorusNetworkModel
 from repro.obs import MESSAGE_SIZE_BOUNDS, CommStats, MetricsRegistry
 from repro.vmpi import PayloadStub, VComm, ZeroCostNetwork
 
@@ -122,6 +124,51 @@ class TestScriptedSchedules:
             reg, _ = _run(_burst_program)
             paths.append(reg.to_jsonl(tmp_path / f"dump{i}.jsonl"))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestMailboxesBuiltAtSpawn:
+    """``VComm`` builds its per-rank inboxes in ``run``, not ``__init__``:
+    an executor that never spawns ranks pays nothing per rank, and a
+    spawned run is wired to the obs log exactly as an eager build was."""
+
+    def test_construction_allocates_nothing_per_rank(self):
+        before = sys.getallocatedblocks()
+        comm = VComm(262144, network=ZeroCostNetwork())
+        assert sys.getallocatedblocks() - before < 1000
+        assert comm._rank_names[262143] == "rank262143"
+        assert comm._rank_names.index("rank7") == 7
+        for name in ("rank262144", "rank07", "rank-1", "rank", "vector"):
+            with pytest.raises(ValueError):
+                comm._rank_names.index(name)
+
+    def test_ring_delivers_and_outstanding_hwms_close(self):
+        """64-rank ping ring, odd ranks busy before they receive: the
+        even -> odd pairs back up to two messages, the rest to one —
+        read off the consume events the inboxes append to the obs log."""
+
+        def ring(ctx):
+            right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+            for r in range(4):
+                yield from ctx.send(right, PayloadStub(1024), tag=r)
+                if ctx.rank % 2:
+                    yield from ctx.compute(1e-3)
+                yield from ctx.recv(source=left, tag=r)
+            return ctx.rank
+
+        comm = VComm(
+            64,
+            network=TorusNetworkModel(nodes=16, ranks_per_node=4),
+            obs=MetricsRegistry(),
+        )
+        end, values = comm.run(ring)
+        assert end == 0.004001819199999999
+        assert values == list(range(64))
+        stats = comm.comm_stats
+        assert stats.totals() == {
+            "messages": 256, "bytes": 262144, "pairs": 64, "outstanding_hwm_max": 2,
+        }
+        assert [r["outstanding_hwm"] for r in stats.pair_report()] == [2, 1] * 32
+        assert all(stats.outstanding(r, (r + 1) % 64) == 0 for r in range(64))
 
 
 class TestCollectiveStats:

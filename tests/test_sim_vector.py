@@ -21,9 +21,11 @@ differ:
   totals are the bit-stable surface, per ``Tracer.totals``).
 """
 
+import gc
 import json
 import multiprocessing
 import os
+import weakref
 
 import pytest
 
@@ -57,6 +59,36 @@ def _metric_index(reg):
         key = (rec["metric"], json.dumps(rec.get("labels", {}), sort_keys=True))
         out[key] = rec
     return out
+
+
+SNAPSHOT_EXCLUDED = (
+    "sim.events",  # one heap event per phase, by design
+    "sim.vector_phases",
+    "sim.heap_depth",  # ditto: queue depths scale with event count
+    "sim.ready_depth",
+    "sim.processes",  # one driver generator instead of P rank programs
+    "comm.outstanding_hwm",  # cross-phase backlog transients
+    "comm.pair.outstanding_hwm",
+)
+
+
+def _assert_snapshots_match(ra, rb, context=None):
+    """Scalar and vector registries agree record for record, minus the
+    module docstring's exclusions."""
+    ia, ib = _metric_index(ra), _metric_index(rb)
+    assert {k for k in ia if k[0] not in SNAPSHOT_EXCLUDED} == {
+        k for k in ib if k[0] not in SNAPSHOT_EXCLUDED
+    }
+    for key in ia:
+        metric = key[0]
+        if metric in SNAPSHOT_EXCLUDED:
+            continue
+        va, vb = dict(ia[key]), dict(ib[key])
+        if metric == "comm.coll.seconds":
+            # histogram `sum` folds in a different order; counts must match
+            va.pop("sum")
+            vb.pop("sum")
+        assert va == vb, (context, key)
 
 
 def _vector_phases(reg):
@@ -111,26 +143,7 @@ def test_vector_metrics_snapshot_matches_scalar():
     assert a.iteration_seconds == b.iteration_seconds
     ia, ib = _metric_index(ra), _metric_index(rb)
     assert set(ia) == set(ib)
-    excluded = (
-        "sim.events",  # one heap event per phase, by design
-        "sim.vector_phases",
-        "sim.heap_depth",  # ditto: queue depths scale with event count
-        "sim.ready_depth",
-        "sim.processes",  # one driver generator instead of P rank programs
-        "comm.outstanding_hwm",  # cross-phase backlog transients
-        "comm.pair.outstanding_hwm",
-    )
-    for key in ia:
-        metric = key[0]
-        if metric in excluded:
-            continue
-        va = dict(ia[key])
-        vb = dict(ib[key])
-        if metric == "comm.coll.seconds":
-            # histogram `sum` folds in a different order; counts must match
-            va.pop("sum")
-            vb.pop("sum")
-        assert va == vb, key
+    _assert_snapshots_match(ra, rb)
 
 
 def test_vector_fallback_on_heterogeneous_config():
@@ -183,6 +196,15 @@ def test_shard_obs_counters():
     assert len(ops) == 2 and ops[0] == ops[1] > 0
     assert ("sim.shard.window_stalls", "{}") in idx
     assert ("sim.shard.window_spread_seconds", "{}") in idx
+
+
+@pytest.mark.parametrize("shards", [0, -2])
+def test_shard_count_below_one_is_rejected(shards):
+    """A non-positive count used to run single-shard without a word."""
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        _run("64-4-16", vector=True, shards=shards)
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        _run("64-4-16", vector=False, shards=shards)
 
 
 def test_shard_count_validation():
@@ -240,28 +262,7 @@ def test_vector_metrics_snapshot_matches_scalar_auto_and_overlap(variant):
     a = simulate_training(_cfg("64-4-16", **VARIANTS[variant]), vector=False, obs=ra)
     b = simulate_training(_cfg("64-4-16", **VARIANTS[variant]), vector=True, obs=rb)
     assert a.iteration_seconds == b.iteration_seconds
-    ia, ib = _metric_index(ra), _metric_index(rb)
-    excluded = (
-        "sim.events",
-        "sim.vector_phases",
-        "sim.heap_depth",
-        "sim.ready_depth",
-        "sim.processes",
-        "comm.outstanding_hwm",
-        "comm.pair.outstanding_hwm",
-    )
-    assert {k for k in ia if k[0] not in excluded} == {
-        k for k in ib if k[0] not in excluded
-    }
-    for key in ia:
-        metric = key[0]
-        if metric in excluded:
-            continue
-        va, vb = dict(ia[key]), dict(ib[key])
-        if metric == "comm.coll.seconds":
-            va.pop("sum")
-            vb.pop("sum")
-        assert va == vb, (variant, key)
+    _assert_snapshots_match(ra, rb, variant)
 
 
 def test_vector_fallback_reason_recorded():
@@ -360,3 +361,75 @@ def test_run_shape_unchanged_by_vector_default():
     reg = MetricsRegistry()
     _run("64-4-16", vector=None, obs=reg)
     assert _vector_phases(reg) > 0
+
+
+def test_vector_matches_scalar_on_an_unpinned_shape():
+    """2048 ranks at a seed no golden uses: what is built lazily on the
+    vector path (mailboxes, rank names, finish-time list) cannot change
+    what either path observes."""
+    cfg = SimJobConfig(
+        shape=RunShape.parse("2048-4-16"),
+        workload=default_workload(50.0),
+        script=SCRIPT,
+        seed=41,
+    )
+    ra, rb = MetricsRegistry(), MetricsRegistry()
+    a = simulate_training(cfg, obs=ra, vector=False)
+    b = simulate_training(cfg, obs=rb)
+    assert (a.execution_path, b.execution_path) == ("scalar", "vector")
+    assert a.finish_time == b.finish_time
+    assert a.load_data_seconds == b.load_data_seconds
+    assert isinstance(b.rank_end_times, list)
+    assert a.rank_end_times == b.rank_end_times
+    assert a.total_messages == b.total_messages
+    assert a.total_bytes == b.total_bytes
+    for r in (0, 1, 1024, 2047):
+        assert a.tracer.totals(f"rank{r}") == b.tracer.totals(f"rank{r}")
+    ia, ib = _metric_index(ra), _metric_index(rb)
+    assert set(ia) == set(ib)
+    _assert_snapshots_match(ra, rb)
+
+
+@pytest.mark.parametrize(
+    "shards",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="sharded engine needs fork-capable multiprocessing",
+            ),
+        ),
+    ],
+)
+def test_vector_run_state_dies_by_refcount(monkeypatch, shards):
+    """With the collector off, dropping the result frees the run, its
+    plan and the tracer's bulk span arrays: no reference cycle is left
+    behind to pin them until a full collection."""
+    from repro.dist import vectorized
+
+    refs = {}
+    real_run = vectorized._VectorRun
+
+    def spy(cfg, plan, *args):
+        run = real_run(cfg, plan, *args)
+        refs["run"], refs["plan"] = weakref.ref(run), weakref.ref(plan)
+        return run
+
+    monkeypatch.setattr(vectorized, "_VectorRun", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        result = _run("1024-4-16", vector=True, shards=shards)
+        assert result.execution_path.startswith("vector")
+        assert result.tracer.totals("rank5")  # queried, hence fully built
+        segments = next(iter(result.tracer._bulk.values()))
+        refs["bulk spans"] = weakref.ref(segments[0][1])
+        del segments
+        assert refs["run"]() is None and refs["plan"]() is None
+        del result
+        alive = [name for name, ref in refs.items() if ref() is not None]
+        assert not alive
+    finally:
+        gc.enable()
