@@ -30,6 +30,17 @@ class NoiseModel:
     def perturb(self, seconds: float, rng: np.random.Generator) -> float:
         raise NotImplementedError
 
+    def perturb_series(
+        self, seconds: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One rank's successive charges: ``seconds[i]`` perturbed by the
+        ``i``-th :meth:`perturb` call on ``rng``, bit for bit.
+
+        The vector executor charges a whole run of one worker through
+        this, so a model overrides it only with something that consumes
+        ``rng`` exactly as the loop below does."""
+        return np.array([self.perturb(float(s), rng) for s in seconds])
+
     def expected_factor(self, participants: int = 1) -> float:
         """Expected inflation of a *synchronized* span over ``participants``
         processes (max of per-process noise)."""
@@ -70,6 +81,21 @@ class LinuxJitter(NoiseModel):
         if seconds < 0:
             raise ValueError(f"negative duration {seconds}")
         noise = self.mean_fraction + rng.exponential(self.tail_scale)
+        return seconds * (1.0 + noise)
+
+    def perturb_series(
+        self, seconds: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Every charge takes exactly one exponential draw, and a sized
+        draw fills its output from the same stream one variate at a
+        time, so one call yields the draws of ``len(seconds)`` scalar
+        calls; the arithmetic is :meth:`perturb`'s, elementwise
+        (tests/test_bgq_machine.py pins both identities)."""
+        if np.any(seconds < 0):
+            raise ValueError(f"negative duration in {seconds}")
+        noise = self.mean_fraction + rng.exponential(
+            self.tail_scale, size=len(seconds)
+        )
         return seconds * (1.0 + noise)
 
     def expected_factor(self, participants: int = 1) -> float:

@@ -785,7 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run macro legs on the sharded engine with N OS processes "
-        "(power of two; virtual results are identical to --shards 1)",
+        "(power of two; a rank count that is not a power of two runs in "
+        "one process; virtual results are identical to --shards 1)",
     )
     perf.add_argument(
         "--speculate",

@@ -23,6 +23,10 @@ from dataclasses import dataclass
 
 __all__ = ["EthernetNetworkModel"]
 
+_CONTENTION_NODES = 32.0
+"""Cluster size (in nodes) over which the missing bisection fraction
+costs one more unit of per-flow slowdown."""
+
 
 @dataclass(frozen=True)
 class EthernetNetworkModel:
@@ -41,7 +45,8 @@ class EthernetNetworkModel:
     bisection_factor:
         Fraction of full bisection the switch fabric provides; effective
         per-flow bandwidth under load divides by
-        ``1 + (nodes - 1) * (1 - bisection_factor) / bisection_nodes``.
+        ``1 + (nodes - 1) * (1 - bisection_factor) / 32`` (the module
+        constant ``_CONTENTION_NODES``, not a parameter).
     """
 
     nodes: int
@@ -73,7 +78,7 @@ class EthernetNetworkModel:
         derate that grows with cluster size.  (Master-centric traffic is
         serialized, so on-node NIC sharing rarely bites; what does is
         oversubscribed switch uplinks as the cluster grows.)"""
-        contention = 1.0 + (self.nodes - 1) * (1.0 - self.bisection_factor) / 32.0
+        contention = 1.0 + (self.nodes - 1) * (1.0 - self.bisection_factor) / _CONTENTION_NODES
         return self.link_bandwidth / contention
 
     def p2p_time(self, src: int, dst: int, nbytes: int, now: float = 0.0) -> float:

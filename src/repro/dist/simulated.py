@@ -910,17 +910,23 @@ def simulate_training(
     scalar scheduler, ``True`` requests the fast path.  Either way the
     fast path only engages when the run is eligible (see
     :func:`repro.dist.vectorized.vector_fallback_reason`; DESIGN.md
-    §6e) — heterogeneous runs (faults, recovery, staged load, serial
-    bcast, non-power-of-two ranks, small-theta shapes) fall back to the
-    per-process scheduler, and simulated results are bit-identical on
-    both paths.  ``collective_selection="auto"`` and
-    ``overlap_gradient`` runs stay on the fast path.  When a requested
+    §6e) — heterogeneous runs (faults, recovery, staged load,
+    small-theta shapes, noise or network models the replay does not
+    know) fall back to the per-process scheduler, and simulated results
+    are bit-identical on both paths.  ``collective_selection="auto"``,
+    ``overlap_gradient``, serial-broadcast, non-power-of-two and
+    ``LinuxJitter``/Ethernet runs (Table I's Xeon arm is all four) stay
+    on the fast path.  When a requested
     vector run falls back, the reason is recorded as a
     ``sim.vector.fallback{reason=...}`` counter (if ``obs`` is
     attached) and a debug log line, so a silent scalar-path regression
     is observable instead of just slow.  ``shards > 1`` additionally
     partitions the vector kernels across OS processes
-    (:mod:`repro.sim.shard`); it is ignored on the scalar path.
+    (:mod:`repro.sim.shard`); it is ignored on the scalar path, and on a
+    vector run the block split cannot serve — a communicator that is not
+    a power of two, or ``bcast_algorithm="serial"``
+    (:func:`~repro.dist.vectorized.vector_shardable`) — which runs
+    single-process with ``execution_path == "vector"``.
     ``speculate`` selects the sharded pool's optimistic window protocol
     (checkpointed per-shard clock slices, rollback on cross-shard
     causality violation) instead of the conservative two-barrier
@@ -929,8 +935,14 @@ def simulate_training(
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    plan = _build_plan(cfg)
     network = cfg.network
+    modeled_ranks = getattr(network, "size", None)
+    if modeled_ranks is not None and modeled_ranks < cfg.shape.ranks:
+        raise ValueError(
+            f"network model covers {modeled_ranks} ranks, "
+            f"run shape has {cfg.shape.ranks}"
+        )
+    plan = _build_plan(cfg)
     if network is None:
         network = TorusNetworkModel(
             nodes=cfg.shape.nodes, ranks_per_node=cfg.shape.ranks_per_node
@@ -988,6 +1000,7 @@ def simulate_training(
         run_vectorized,
         vector_enabled,
         vector_fallback_reason,
+        vector_shardable,
     )
 
     fallback = (
@@ -998,6 +1011,8 @@ def simulate_training(
     if fallback is None:
         if speculate is None:
             speculate = os.environ.get("REPRO_SIM_SPECULATE", "0") == "1"
+        if not vector_shardable(cfg):
+            shards = 1
         if shards > 1:
             execution_path = "speculative" if speculate else "vector+sharded"
         else:

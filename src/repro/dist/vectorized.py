@@ -1,14 +1,18 @@
 """Vectorized SPMD fast path: whole-phase array execution of the trainer.
 
 When every rank runs the same program shape — the synchronous collective
-protocol of :mod:`repro.dist.simulated` with no faults, binomial control
-trees, and a power-of-two communicator — the per-iteration schedule is a
+protocol of :mod:`repro.dist.simulated` with no faults, on a
+communicator of any size above eight — the per-iteration schedule is a
 fixed sequence of *homogeneous phases*: a modeled-collective barrier
 (4-byte sync reduce + 4-byte go bcast + closed-form transfer charge,
 priced either by the fixed closed forms or by the same memoized
 ``collective_selection="auto"`` policy the scalar path consults), a
-per-worker compute charge, a master compute charge, a real 16-byte
-binomial loss reduction, or — with ``overlap_gradient`` — a per-rank
+master *chain* (the master sends to ranks 1…p−1 one after another: the
+load of the shards and every ``bcast_algorithm="serial"`` broadcast), a
+per-worker compute charge (perturbed, under
+:class:`~repro.bgq.kernel.LinuxJitter`, by each worker's own noise
+stream), a master compute charge, a real 16-byte binomial loss
+reduction, or — with ``overlap_gradient`` — a per-rank
 exposed-communication charge from the DDP-style bucketed
 :func:`~repro.nn.parallel_sgd.overlap_schedule`.  This module
 replays that schedule as numpy operations over the per-rank clock vector
@@ -27,29 +31,34 @@ Bit-identity discipline (DESIGN.md §6e):
 * per-edge message costs come from the network model's *own* scalar
   ``p2p_time``/``wire_time``/``injection_time`` calls, evaluated once
   per cost-equivalence class (same-node flag + torus hop count + byte
-  count) and gathered back over the edge arrays — the formulas are
+  count; same-node flag + byte count on Ethernet) and gathered back
+  over the edge arrays — the formulas are
   never re-derived in numpy;
 * per-rank clock folds follow each rank's program order: the binomial
   tree sweeps process levels in the same ascending (reduce) /
-  descending (bcast) mask order the generators execute, and per-edge
-  wire-busy state is keyed exactly like the scalar scheduler's
-  ``(src, dst)`` map.
+  descending (bcast) mask order the generators execute, a chain's
+  send times are the ``cumsum`` left fold of the master's
+  ``now + injection`` steps, and per-edge wire-busy state is keyed
+  exactly like the scalar scheduler's ``(src, dst)`` map.
 """
 
 # repro: spmd-vectorized  (module-wide: per-rank work is array ops; see DET004)
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.bgq.kernel import CnkNoise
+from repro.bgq.kernel import CnkNoise, LinuxJitter
 from repro.bgq.network import TorusNetworkModel
+from repro.cluster.ethernet import EthernetNetworkModel
 from repro.dist.timeline import COLL, COMPUTE, P2P, label
 from repro.nn.parallel_sgd import exposed_comm_model
 from repro.sim.engine import VectorPhase
+from repro.util.rng import spawn
 from repro.vmpi.collcost import (
     bcast_cost,
     collective_params,
@@ -64,6 +73,7 @@ __all__ = [
     "vector_eligible",
     "vector_enabled",
     "vector_fallback_reason",
+    "vector_shardable",
 ]
 
 _SYNC_BYTES = 4
@@ -100,23 +110,24 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
     * ``trace_p2p`` — per-message tracing materializes p2p spans;
     * ``fault_plan`` / ``fault_policy`` — faults and recovery are
       heterogeneous by construction;
-    * ``serial_bcast`` — the serial broadcast is a per-rank chain, not
-      a tree sweep;
     * ``staged_load`` — the staged relay's leader/member split is
       heterogeneous (master and parallel_io load are vectorizable);
-    * ``noise_model`` — anything but :class:`~repro.bgq.kernel.CnkNoise`
-      (whose ``perturb`` is the identity and draws nothing from the
-      rng) makes per-rank compute charges rng-order-dependent;
+    * ``noise_model`` — :class:`~repro.bgq.kernel.CnkNoise` draws
+      nothing and :class:`~repro.bgq.kernel.LinuxJitter` draws once per
+      compute charge from a per-worker stream, which is replayed as one
+      sized draw per worker; any other model's use of its rng is
+      unknown, and under ``overlap_gradient`` the jittered gradient
+      time also feeds each rank's exposed-communication charge;
     * ``segmented_control`` — ``segment_bytes < 16`` would segment the
       4/16-byte control payloads inside the tree algorithms;
-    * ``small_comm`` / ``non_pow2_ranks`` — the theta fast path needs
-      ``ranks > 8``, and full tree levels need a power of two;
+    * ``small_comm`` — the theta fast path needs ``ranks > 8``;
     * ``theta_not_fast_path`` — ``theta_bytes <= segment_bytes`` makes
       theta collectives execute message-by-message;
-    * ``network_model`` — only :class:`TorusNetworkModel` and
-      :class:`UniformNetwork` have p2p costs pure in (same-node flag,
-      hop count, nbytes), the property the class-representative cost
-      tables rely on.
+    * ``network_model`` — only :class:`TorusNetworkModel`,
+      :class:`UniformNetwork` and
+      :class:`~repro.cluster.ethernet.EthernetNetworkModel` are known
+      to have p2p costs pure in (same-node flag, hop count, nbytes),
+      the property the class-representative cost tables rely on.
     """
     p = cfg.shape.ranks
     wl = cfg.workload
@@ -126,21 +137,23 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
         return "fault_plan"
     if cfg.fault_policy is not None:
         return "fault_policy"
-    if cfg.bcast_algorithm != "binomial":
-        return "serial_bcast"
     if cfg.load_data_mode not in ("master", "parallel_io"):
         return "staged_load"
-    if type(cfg.noise) is not CnkNoise:
+    if type(cfg.noise) is not CnkNoise and (
+        type(cfg.noise) is not LinuxJitter or cfg.overlap_gradient
+    ):
         return "noise_model"
     if cfg.segment_bytes < _LOSS_BYTES:
         return "segmented_control"
     if p <= 8:
         return "small_comm"
-    if p & (p - 1):
-        return "non_pow2_ranks"
     if wl.theta_bytes <= cfg.segment_bytes:
         return "theta_not_fast_path"
-    if type(network) not in (TorusNetworkModel, UniformNetwork):
+    if type(network) not in (
+        TorusNetworkModel,
+        UniformNetwork,
+        EthernetNetworkModel,
+    ):
         return "network_model"
     return None
 
@@ -151,6 +164,15 @@ def vector_eligible(cfg: Any, network: Any, trace_p2p: bool) -> bool:
     per-condition fallback slugs — live on
     :func:`vector_fallback_reason`)."""
     return vector_fallback_reason(cfg, network, trace_p2p) is None
+
+
+def vector_shardable(cfg: Any) -> bool:
+    """True iff an eligible run's kernels can be split across shard
+    processes: the block split of :mod:`repro.sim.shard` needs full tree
+    levels (a power-of-two communicator), and a serial broadcast is one
+    sequential fold on the master with no block-local part."""
+    p = cfg.shape.ranks
+    return not p & (p - 1) and cfg.bcast_algorithm == "binomial"
 
 
 # ------------------------------------------------------------- cost tables
@@ -176,14 +198,18 @@ def _torus_hops(dims: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def _edge_keys(network: Any, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Cost-class key per edge: the torus hop count, -1 for a same-node
-    pair; the uniform model has the single key 0 (tree edges never
-    self-send)."""
+    pair; the flat Ethernet fabric prices every off-node pair alike (key
+    0), and the uniform model has the single key 0 (tree and chain edges
+    never self-send)."""
     if type(network) is UniformNetwork:
         return np.zeros(len(src), dtype=np.int64)
     rpn = network.ranks_per_node
     node_s = np.asarray(src, dtype=np.int64) // rpn
     node_d = np.asarray(dst, dtype=np.int64) // rpn
-    hops = _torus_hops(network.torus.dims, node_s, node_d)
+    if type(network) is EthernetNetworkModel:
+        hops = np.int64(0)
+    else:
+        hops = _torus_hops(network.torus.dims, node_s, node_d)
     return np.where(node_s == node_d, np.int64(-1), hops)
 
 
@@ -200,8 +226,8 @@ def _edge_costs(
     Edges are grouped into cost-equivalence classes — ``(key, nbytes)``
     where ``key`` is the torus hop count (-1 for same-node) or a single
     class on the uniform model — and one representative edge per class is
-    priced with ``p2p_time``/``wire_time``.  Exact because both eligible
-    models' costs depend only on the class key and the byte count.
+    priced with ``p2p_time``/``wire_time``.  Exact because every eligible
+    model's costs depend only on the class key and the byte count.
 
     ``key`` is :func:`_edge_keys` of the edges (one array serves every
     byte size priced over them) and ``table`` the run-wide
@@ -241,7 +267,12 @@ class _VectorRun:
     ``cur[r]`` is rank ``r``'s virtual clock; ``busy_up[r]`` /
     ``busy_dn[r]`` mirror the scalar scheduler's per-``(src, dst)``
     wire-busy map for the one up-tree edge ``(r, parent(r))`` and the one
-    down-tree edge ``(parent(r), r)`` each non-root rank owns.  Kernel
+    down-tree edge ``(parent(r), r)`` each non-root rank owns.  A chain
+    sends on ``(0, w)`` for every ``w``: where ``w`` is a power of two
+    that *is* its down-tree edge, so :attr:`root_key` maps it to
+    ``busy_dn[w]``, and every other ``w`` gets ``busy_dn[p + w]`` — one
+    array, one entry per distinct ``(src, dst)`` key, whichever kind of
+    phase touches it.  Kernel
     operations (tree sweeps, compute charges) go through
     :attr:`backend` so the sharded runtime can farm out the block-local
     work (``repro.sim.shard``); everything observable (spans, collective
@@ -275,14 +306,17 @@ class _VectorRun:
 
         self.cur = np.zeros(p, dtype=np.float64)
         self.busy_up = np.zeros(p, dtype=np.float64)
-        self.busy_dn = np.zeros(p, dtype=np.float64)
+        self.busy_dn = np.zeros(2 * p, dtype=np.float64)
+        workers = self.workers = np.arange(1, p, dtype=np.int64)
+        self.root_key = np.where(workers & (workers - 1), p + workers, workers)
+        """Index into :attr:`busy_dn` of the edge ``(0, w)``, ``w`` = 1…p−1."""
 
         self.levels = binomial_levels(p)
         self.cost_table: dict[tuple[int, int], tuple[float, float]] = {}
         """Run-wide ``(class key, nbytes) -> (transfer, wire)`` memo."""
         keys = [_edge_keys(network, s, r) for _, s, r in self.levels]
         # (transfer, wire) per level, shared by both sweep directions:
-        # both models' costs are symmetric in (src, dst).
+        # every eligible model's costs are symmetric in (src, dst).
         self.cost_sets = [
             [
                 _edge_costs(network, s, r, nbytes, key, self.cost_table)
@@ -308,8 +342,8 @@ class _VectorRun:
             b_cost = bcast_cost(p, theta_nbytes, alpha, coll_bw)
             r_cost = reduce_cost(p, theta_nbytes, alpha, coll_bw)
 
-        # invariant per-worker compute charges (the scalar programs hoist
-        # these identically; CnkNoise.perturb is the identity)
+        # invariant nominal per-worker compute charges (the scalar
+        # programs hoist these identically)
         grad_secs = wl.per_worker_seconds("gradient", plan.grad_frames, cores, tpc, rpn)
         held_secs = wl.per_worker_seconds(
             "heldout", plan.heldout_frames, cores, tpc, rpn
@@ -366,12 +400,26 @@ class _VectorRun:
         without leaving the fast path."""
         self.phase_log: list[tuple[str, float, int]] = []
         self.kernel_ops: list[tuple] = []
+        self.charges: list[np.ndarray] = []
+        """Per-worker seconds of every worker compute phase, in program
+        order; a ``("cw", j)`` kernel op charges ``charges[j]``."""
         self.n_barriers = 0
         self.n_loss = 0
+        self.n_chains = 0
+
+        # add_bcast(lbl_master, lbl_worker): one theta broadcast phase
+        if cfg.bcast_algorithm == "serial":
+            chain = (
+                network.injection_time(theta_nbytes),
+                *self._root_edge_costs(theta_nbytes),
+            )
+            add_bcast = functools.partial(self._add_chain, chain)
+        else:
+            add_bcast = functools.partial(self._add_barrier, "bcast", b_algo, b_cost)
 
         self.phases.append(self._load_phase())
         for it in range(cfg.script.n_iterations):
-            self._add_barrier("bcast", b_algo, b_cost, lbl_sync_master, lbl_sync)
+            add_bcast(lbl_sync_master, lbl_sync)
             self._add_compute_workers(grad_secs, lbl_gradient)
             if overlap_cost is None:
                 self._add_barrier(
@@ -397,9 +445,7 @@ class _VectorRun:
             )
             first_product = product + setup  # scalar order: product += setup
             for k in range(cfg.script.cg_iters[it]):
-                self._add_barrier(
-                    "bcast", b_algo, b_cost, lbl_cg_bcast, lbl_cg_bcast
-                )
+                add_bcast(lbl_cg_bcast, lbl_cg_bcast)
                 self._add_compute_workers(
                     first_product if k == 0 else product, lbl_curvature
                 )
@@ -410,11 +456,20 @@ class _VectorRun:
                     cg_minimize_secs, label(COMPUTE, "cg_minimize")
                 )
             for _e in range(cfg.script.heldout_evals[it]):
-                self._add_barrier(
-                    "bcast", b_algo, b_cost, lbl_sync_master, lbl_sync
-                )
+                add_bcast(lbl_sync_master, lbl_sync)
                 self._add_compute_workers(held_secs, lbl_heldout)
                 self._add_loss_reduce(lbl_reduce_loss)
+        if type(cfg.noise) is not CnkNoise:
+            # one stream per worker, one draw per charge, in the order the
+            # worker program makes them (CnkNoise draws nothing: no stream).
+            # A stream per worker is the model, so this set-up loop is
+            # O(workers) like the scalar path's; the phases stay array ops.
+            charged = np.stack(self.charges)  # (charge, worker)
+            for w in range(p - 1):
+                charged[:, w] = cfg.noise.perturb_series(
+                    charged[:, w], spawn(cfg.seed, "noise", w)
+                )
+            self.charges = list(charged)
 
     # ---------------------------------------------------------- tree kernels
     def up_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
@@ -467,6 +522,34 @@ class _VectorRun:
         cur[senders] = t_send + inj
         cur[receivers] = np.maximum(cur[receivers], arrival)
 
+    def _root_edge_costs(self, nbytes: Any) -> tuple[np.ndarray, np.ndarray]:
+        """``(transfer, wire)`` of the edges ``(0, w)``, ``w`` = 1…p−1."""
+        dst = self.workers
+        src = np.zeros_like(dst)
+        key = _edge_keys(self.network, src, dst)
+        return _edge_costs(self.network, src, dst, nbytes, key, self.cost_table)
+
+    def _chain(self, inj: Any, transfer: np.ndarray, wire: np.ndarray) -> None:
+        """The master sends to ranks 1…p−1 in order and each receives once
+        (``_serial_bcast_impl``, and the master load): ``ctx.send`` yields
+        each injection time in turn, so the master's clock is the left
+        fold ``now + inj`` — which ``cumsum`` is — and message ``w`` leaves
+        at the fold's ``w``-th value; the rest is :meth:`_level`'s send
+        path with those send times.  ``inj`` is a scalar or per-edge."""
+        cur, busy, key = self.cur, self.busy_dn, self.root_key
+        steps = np.empty(self.p, dtype=np.float64)
+        steps[0] = cur[0]
+        steps[1:] = inj
+        clock = np.cumsum(steps)
+        t_send = clock[:-1]
+        start = np.maximum(busy[key], t_send)
+        end_wire = start + wire
+        busy[key] = end_wire
+        delay = np.maximum(t_send + transfer, end_wire) - t_send
+        arrival = t_send + np.maximum(delay, inj)
+        cur[0] = clock[-1]
+        cur[1:] = np.maximum(cur[1:], arrival)
+
     # --------------------------------------------------------- phase builders
     def _op(self, op: tuple) -> tuple:
         self.kernel_ops.append(op)
@@ -498,32 +581,16 @@ class _VectorRun:
         self.phase_labels.append(lbl)
 
         def run_master(_now: float) -> tuple[float, Any]:
-            p = self.p
             network = self.network
             shard = self.plan.shard_bytes
-            dst = np.arange(1, p, dtype=np.int64)
-            src = np.zeros(p - 1, dtype=np.int64)
             uniq, inv = np.unique(shard, return_inverse=True)
             injs = np.array(
                 [network.injection_time(int(b)) for b in uniq], dtype=np.float64
             )[inv]
-            # the master's clock is the left fold of the injection times
-            # (ctx.send yields each one); cumsum IS that left fold
-            csum = np.cumsum(injs)
-            t_send = np.concatenate(([0.0], csum[:-1]))
-            transfer, wire = _edge_costs(
-                network, src, dst, shard, _edge_keys(network, src, dst), self.cost_table
-            )
-            end_wire = t_send + wire  # first use of every (0, w) pair
-            delay = np.maximum(t_send + transfer, end_wire) - t_send
-            arrival = t_send + np.maximum(delay, injs)
+            # from all-zero clocks; seeds wire-busy on every (0, w), which
+            # the go-bcast (power-of-two w) and serial broadcasts reuse
+            self._chain(injs, *self._root_edge_costs(shard))
             cur = self.cur
-            cur[0] = csum[-1]
-            cur[1:] = arrival
-            # the load send seeds wire-busy on (0, w); only the root's
-            # tree children (power-of-two w) ever reuse that edge
-            pow2 = (dst & (dst - 1)) == 0
-            self.busy_dn[dst[pow2]] = end_wire[pow2]
             if self.tracer is not None:
                 self.tracer.add_bulk(lbl, 0, cur.copy())  # spans start at 0.0
             self.load_done[0] = float(cur[0])
@@ -571,17 +638,46 @@ class _VectorRun:
                 backend.run_op(addc)
             backend.drain()
             d = cur - t0
-            if self.tracer is not None:
-                if lbl_master == lbl_worker:
-                    self.tracer.add_bulk(lbl_master, 0, d)
-                else:
-                    self.tracer.add_bulk(lbl_master, 0, d[:1])
-                    self.tracer.add_bulk(lbl_worker, 1, d[1:])
-            if coll is not None:
-                coll.on_bulk(op, algo, d)
+            self._collective_done(op, algo, d, lbl_master, lbl_worker)
             return self._end()
 
         self.phases.append(run)
+
+    def _add_chain(
+        self,
+        chain: tuple[float, np.ndarray, np.ndarray],
+        lbl_master: str,
+        lbl_worker: str,
+    ) -> None:
+        """Serial-broadcast phase: one :meth:`_chain` of theta messages,
+        run on the coordinator (it has no block-local part to farm out)."""
+        self.n_chains += 1
+        self.phase_labels.append(lbl_worker)
+
+        def run(_now: float) -> tuple[float, Any]:
+            t0 = self.cur.copy()
+            self._chain(*chain)
+            self._collective_done(
+                "bcast", "serial", self.cur - t0, lbl_master, lbl_worker
+            )
+            return self._end()
+
+        self.phases.append(run)
+
+    def _collective_done(
+        self, op: str, algo: str, d: np.ndarray, lbl_master: str, lbl_worker: str
+    ) -> None:
+        """Spans and the per-rank collective record of one finished
+        collective phase of per-rank durations ``d``."""
+        if self.tracer is not None:
+            if lbl_master == lbl_worker:
+                self.tracer.add_bulk(lbl_master, 0, d)
+            else:
+                self.tracer.add_bulk(lbl_master, 0, d[:1])
+                self.tracer.add_bulk(lbl_worker, 1, d[1:])
+        coll = self.comm.coll_stats
+        if coll is not None:
+            coll.on_bulk(op, algo, d)
 
     def _add_loss_reduce(self, lbl: str) -> None:
         self.n_loss += 1
@@ -594,19 +690,15 @@ class _VectorRun:
             t0 = cur.copy()
             backend.run_op(up)
             backend.drain()
-            d = cur - t0
-            if self.tracer is not None:
-                self.tracer.add_bulk(lbl, 0, d)
-            coll = self.comm.coll_stats
-            if coll is not None:
-                coll.on_bulk("reduce", "binomial", d)
+            self._collective_done("reduce", "binomial", cur - t0, lbl, lbl)
             return self._end()
 
         self.phases.append(run)
 
     def _add_compute_workers(self, secs: np.ndarray, lbl: str) -> None:
         self.phase_labels.append(lbl)
-        op = self._op(("cw", secs))
+        op = self._op(("cw", len(self.charges)))
+        self.charges.append(secs)
 
         def run(_now: float) -> tuple[float, Any]:
             cur = self.cur
@@ -667,6 +759,9 @@ class _VectorRun:
         nbytes = edges * (
             _SYNC_BYTES * 2 * self.n_barriers + _LOSS_BYTES * self.n_loss
         )
+        theta_nbytes = self.cfg.workload.theta_bytes
+        msgs += edges * self.n_chains
+        nbytes += edges * theta_nbytes * self.n_chains
         loaded = self.cfg.load_data_mode == "master"
         if loaded:
             msgs += edges
@@ -675,13 +770,12 @@ class _VectorRun:
         stats = self.comm.comm_stats
         if stats is None:
             return
+        workers = self.workers
+        master = np.zeros_like(workers)
         if loaded:
-            stats.on_bulk(
-                np.zeros(edges, dtype=np.int64),
-                np.arange(1, p, dtype=np.int64),
-                self.plan.shard_bytes,
-                1,
-            )
+            stats.on_bulk(master, workers, self.plan.shard_bytes, 1)
+        if self.n_chains:
+            stats.on_bulk(master, workers, theta_nbytes, self.n_chains)
         for _m, leaves, parents in self.levels:
             stats.on_bulk(leaves, parents, _SYNC_BYTES, self.n_barriers)
             stats.on_bulk(parents, leaves, _SYNC_BYTES, self.n_barriers)
@@ -709,7 +803,7 @@ class _InlineBackend:
         elif kind == "addv":
             r.cur += op[1]
         elif kind == "cw":
-            r.cur[1:] += op[1]
+            r.cur[1:] += r.charges[op[1]]
         else:  # pragma: no cover - schedule and executor are built together
             raise ValueError(f"unknown kernel op {op!r}")
 

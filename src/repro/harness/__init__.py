@@ -60,7 +60,13 @@ from repro.harness.serving import (
     run_saturation_sweep,
     serve_payload,
 )
-from repro.harness.speedup import SpeedupRow, bgq_hours, run_table1, xeon_hours
+from repro.harness.speedup import (
+    SpeedupRow,
+    bgq_hours,
+    run_table1,
+    xeon_config,
+    xeon_hours,
+)
 
 __all__ = [
     "BREAKDOWN_CONFIGS",
@@ -93,6 +99,7 @@ __all__ = [
     "SpeedupRow",
     "bgq_hours",
     "run_table1",
+    "xeon_config",
     "xeon_hours",
     "DEFAULT_COUNTERFLOW_RANKS",
     "counterflow_from_dumps",

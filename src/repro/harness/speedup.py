@@ -27,7 +27,7 @@ from repro.dist.workload import GEOMETRY_50HR, ModelGeometry, SimWorkload
 from repro.gemm.perf import GemmPerfModel
 from repro.speech.corpus import FRAMES_PER_HOUR
 
-__all__ = ["SpeedupRow", "run_table1", "bgq_hours", "xeon_hours"]
+__all__ = ["SpeedupRow", "run_table1", "bgq_hours", "xeon_config", "xeon_hours"]
 
 _XEON_FRAMEWORK_EFFICIENCY = 0.85
 """Out-of-order cores + mature BLAS sustain a higher fraction of the
@@ -87,14 +87,16 @@ def bgq_hours(
     return simulate_training(cfg).represented_total_hours
 
 
-def xeon_hours(
+def xeon_config(
     script: IterationScript,
     hours: float = 50.0,
     sequence: bool = False,
     cluster: XeonClusterSpec = XeonClusterSpec(),
     geometry: ModelGeometry = GEOMETRY_50HR,
-) -> float:
-    """Projected Xeon-cluster training hours for one Table I cell."""
+) -> SimJobConfig:
+    """The Xeon arm's run: one process per core, serial broadcast,
+    contended Ethernet, Linux jitter.  Every piece is replayed by the
+    vector fast path (DESIGN.md §6e), so the arm costs host milliseconds."""
     node = NodeSpec(cores=cluster.cores_per_node, core=XEON_CORE)
     shape = RunShape(
         ranks=cluster.processes,
@@ -102,7 +104,7 @@ def xeon_hours(
         threads_per_rank=1,
         node=node,
     )
-    cfg = SimJobConfig(
+    return SimJobConfig(
         shape=shape,
         workload=_workload(hours, sequence, geometry, xeon=True),
         script=script,
@@ -112,6 +114,17 @@ def xeon_hours(
         ),
         noise=LinuxJitter(),
     )
+
+
+def xeon_hours(
+    script: IterationScript,
+    hours: float = 50.0,
+    sequence: bool = False,
+    cluster: XeonClusterSpec = XeonClusterSpec(),
+    geometry: ModelGeometry = GEOMETRY_50HR,
+) -> float:
+    """Projected Xeon-cluster training hours for one Table I cell."""
+    cfg = xeon_config(script, hours, sequence, cluster, geometry)
     return simulate_training(cfg).represented_total_hours
 
 

@@ -141,7 +141,7 @@ def _worker_loop(run: Any, b0: int, b1: int, start_b: Any, end_b: Any) -> None:
                 cur[b0:b1] += op[1][b0:b1]
             elif kind == "cw":
                 lo = max(b0, 1)
-                cur[lo:b1] += op[1][lo - 1 : b1 - 1]
+                cur[lo:b1] += run.charges[op[1]][lo - 1 : b1 - 1]
             end_b.wait()
     except threading.BrokenBarrierError:
         return  # coordinator aborted the run; exit quietly
@@ -351,7 +351,7 @@ def _spec_worker_loop(
                     cur[b0:b1] += op[1][b0:b1]
                 elif kind == "cw":
                     lo = max(b0, 1)
-                    cur[lo:b1] += op[1][lo - 1 : b1 - 1]
+                    cur[lo:b1] += run.charges[op[1]][lo - 1 : b1 - 1]
             with locks[q]:  # fence: publish block writes before the commit
                 sh.committed[q] = k + 1
     except _Aborted:
@@ -386,6 +386,18 @@ class ShardPool:
                 f"shards must be a power of two >= 2 dividing ranks: "
                 f"{shards} shards over {p} ranks"
             )
+        if p & (p - 1):
+            # "level m is block-local iff m < block size" holds only for
+            # power-of-two blocks: 96 ranks in 2 blocks of 48 would put
+            # level 16's edge 48 -> 32 across the boundary
+            raise ValueError(
+                f"sharding needs a power-of-two communicator, got {p} ranks"
+            )
+        if run.n_chains:
+            raise ValueError(
+                "a serial-broadcast schedule cannot be sharded: a chain is "
+                "one sequential fold on the master with no block-local part"
+            )
         if not self.supported():
             raise RuntimeError("sharded execution requires fork-capable multiprocessing")
         self.run = run
@@ -400,9 +412,11 @@ class ShardPool:
         # zero-initialized exactly like the arrays they replace (execute()
         # has not started, so nothing is lost).
         for name in ("cur", "busy_up", "busy_dn"):
-            raw = ctx.RawArray("d", p)
-            shared = np.frombuffer(raw, dtype=np.float64)
-            shared[:] = getattr(run, name)
+            private = getattr(run, name)
+            shared = np.frombuffer(
+                ctx.RawArray("d", len(private)), dtype=np.float64
+            )
+            shared[:] = private
             setattr(run, name, shared)
 
         self._stalls = self._spread = None

@@ -110,14 +110,16 @@ def binomial_levels(size: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     (`repro.dist.vectorized`) replays whole levels as array operations
     against this schedule instead of stepping ``size`` generators.
 
-    ``size`` must be a power of two — the vector fast path only claims
-    eligibility for power-of-two communicators, where every tree level
-    is full and the scalar algorithms take no remainder branches.
+    Any ``size >= 1`` works.  Off a power of two the upper levels are
+    simply shorter: ``arange(mask, size, 2 * mask)`` stops at the last
+    rank that exists, which is the ``src_rel < size`` test of
+    ``_reduce_once`` and the ``rel + mask < size`` test of
+    ``_bcast_once`` — the remainder branches of the scalar algorithms.
     """
     levels = _LEVELS_CACHE.get(size)
     if levels is None:
-        if size < 1 or size & (size - 1):
-            raise ValueError(f"binomial_levels requires a power of two, got {size}")
+        if size < 1:
+            raise ValueError(f"binomial_levels needs size >= 1, got {size}")
         levels = []
         mask = 1
         while mask < size:

@@ -3,6 +3,8 @@ network cost model, partition bookkeeping, and OS-noise models."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgq import (
     BGQ_CORE,
@@ -16,6 +18,7 @@ from repro.bgq import (
     TorusNetworkModel,
     expected_sync_inflation,
 )
+from repro.util.rng import spawn
 
 
 class TestA2Core:
@@ -215,3 +218,43 @@ class TestNoise:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             LinuxJitter().perturb(-1.0, rng)
+        with pytest.raises(ValueError):
+            LinuxJitter().perturb_series(np.array([1.0, -1.0]), rng)
+
+    # The two identities the vector replay of a jittered run rests on
+    # (DESIGN.md §6e "noise streams"): if a numpy upgrade ever changed
+    # how a sized draw consumes its stream, these fail — loudly, instead
+    # of Table I's Xeon column drifting between execution paths.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        worker=st.integers(0, 4095),
+        scale=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        n=st.integers(0, 200),
+    )
+    def test_sized_exponential_draw_is_n_scalar_draws(self, seed, worker, scale, n):
+        sized = spawn(seed, "noise", worker).exponential(scale, size=n)
+        rng = spawn(seed, "noise", worker)
+        one_by_one = np.array([rng.exponential(scale) for _ in range(n)])
+        assert sized.tobytes() == one_by_one.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        noise=st.one_of(
+            st.just(CnkNoise()),
+            st.builds(
+                LinuxJitter,
+                mean_fraction=st.floats(0.0, 0.5),
+                tail_scale=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+            ),
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        charges=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e4)), max_size=60
+        ),
+    )
+    def test_perturb_series_is_a_loop_of_perturb(self, noise, seed, charges):
+        series = noise.perturb_series(np.array(charges), spawn(seed, "noise", 3))
+        rng = spawn(seed, "noise", 3)
+        looped = np.array([noise.perturb(c, rng) for c in charges])
+        assert series.tobytes() == looped.tobytes()

@@ -167,6 +167,55 @@ class TestVectorScalarEquivalence:
         assert cpv.straggler_phase == cps.straggler_phase
 
 
+class TestXeonArmOnThePhaseLog:
+    """Table I's Xeon arm replays as chain phases under per-worker jitter
+    streams; analysis on top of it must not notice."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.harness.speedup import xeon_config
+        from repro.obs import MetricsRegistry
+
+        cfg = xeon_config(SCRIPT, hours=5.0)
+        reg = MetricsRegistry()
+        return (
+            simulate_training(cfg, obs=reg),
+            simulate_training(cfg, vector=False),
+            reg,
+        )
+
+    def test_attribution_sums_bitwise_and_matches_scalar(self, runs):
+        rv, rs, _reg = runs
+        assert (rv.execution_path, rs.execution_path) == ("vector", "scalar")
+        att = attribute_run(rv, list(range(96)))
+        for a in att.ranks:
+            assert a.total == rv.finish_time
+        assert att == attribute_run(rs, list(range(96)))
+        assert rv.attribution() == rs.attribution()
+
+    def test_chain_phases_carry_the_worker_side_label(self, runs):
+        rv, rs, _reg = runs
+        labels = [lbl for lbl, _end, _rank in rv.phase_log]
+        # 3 weight syncs + 2 CG broadcasts, logged as the workers see them
+        assert labels.count("coll.sync_weights") == 3
+        assert labels.count("coll.cg_bcast") == 2
+        assert "coll.sync_weights_master" not in labels
+        cpv, cps = critical_path(rv), critical_path(rs)
+        assert cpv.granularity == "phase"
+        _assert_tiling(cpv, rv.finish_time)
+        _assert_tiling(cps, rs.finish_time)
+        assert cpv.straggler_phase == cps.straggler_phase
+
+    def test_run_report_renders(self, runs):
+        from repro.harness import build_run_report
+
+        rv, _rs, reg = runs
+        doc = build_run_report(rv, reg, title="Xeon arm")
+        assert "| shape | 96-12-1 |" in doc
+        assert "vector (phase log)" in doc
+        assert "## Critical path" in doc and "sync_weights" in doc
+
+
 class TestSpanGrouping:
     def test_spans_by_process_sorts_within_each_group(self):
         from repro.sim import Tracer

@@ -241,6 +241,61 @@ class TestCollectiveStats:
         assert comm.coll_stats is None
 
 
+class TestVectorChainPhases:
+    """A serial broadcast replayed as a chain phase reports what the
+    executed ``serial_bcast`` does: one collective record per rank, 95
+    master rows per chain in the pair matrices, the same phase seconds."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        from repro.dist import IterationScript, simulate_training
+        from repro.harness.speedup import xeon_config
+
+        cfg = xeon_config(IterationScript((2,), (1,), represented_iterations=30), 5.0)
+        out = {}
+        for path, vector in (("scalar", False), ("vector", None)):
+            reg = MetricsRegistry()
+            res = simulate_training(cfg, obs=reg, vector=vector)
+            assert res.execution_path == path
+            out[path] = reg.snapshot()
+        return out
+
+    @staticmethod
+    def _records(snapshot, *metrics):
+        return sorted(
+            (r["metric"], json.dumps(r["labels"], sort_keys=True), r["value"])
+            for r in snapshot
+            if r["metric"] in metrics
+        )
+
+    def test_serial_bcast_counted_per_rank(self, snapshots):
+        algo = self._records(snapshots["vector"], "comm.coll.algo")
+        assert algo == self._records(snapshots["scalar"], "comm.coll.algo")
+        serial = [
+            v for _m, labels, v in algo
+            if json.loads(labels) == {"op": "bcast", "algo": "serial"}
+        ]
+        assert serial == [96 * 4]  # 2 weight syncs + 2 CG broadcasts
+
+    def test_pair_matrices_have_a_master_row_per_worker(self, snapshots):
+        pairs = ("comm.pair.messages", "comm.pair.bytes")
+        got = self._records(snapshots["vector"], *pairs)
+        assert got == self._records(snapshots["scalar"], *pairs)
+        from_master = {
+            json.loads(labels)["dst"]: v
+            for m, labels, v in got
+            if m == "comm.pair.messages" and json.loads(labels)["src"] == 0
+        }
+        assert sorted(from_master) == list(range(1, 96))
+        # the load + 4 chains; power-of-two ranks also take the go stubs
+        # of the 3 modeled reductions as the master's tree children
+        assert from_master[95] == 5 and from_master[64] == 5 + 3
+
+    def test_phase_seconds_match(self, snapshots):
+        got = self._records(snapshots["vector"], "train.phase_seconds")
+        assert got and got == self._records(snapshots["scalar"], "train.phase_seconds")
+
+
 class TestCommStatsReplay:
     def test_fold_replays_log_in_order(self):
         cs = CommStats(4)

@@ -29,7 +29,8 @@ import weakref
 
 import pytest
 
-from repro.bgq import RunShape
+from repro.bgq import LinuxJitter, RunShape, TorusNetworkModel
+from repro.cluster import EthernetNetworkModel
 from repro.dist import IterationScript, SimJobConfig, simulate_training
 from repro.harness.scaling import default_workload
 from repro.obs import MetricsRegistry
@@ -156,16 +157,42 @@ def test_vector_fallback_on_heterogeneous_config():
     assert res.iteration_seconds > 0
 
 
-def test_vector_fallback_on_non_power_of_two():
-    reg = MetricsRegistry()
+def _assert_runs_match(a, b, context=None):
+    """Everything virtual two executions of one config must share."""
+    assert a.finish_time == b.finish_time, context
+    assert a.rank_end_times == b.rank_end_times, context
+    assert a.load_data_seconds == b.load_data_seconds, context
+    assert a.total_messages == b.total_messages, context
+    assert a.total_bytes == b.total_bytes, context
+    for r in range(a.config.shape.ranks):
+        name = f"rank{r}"
+        assert a.tracer.totals(name) == b.tracer.totals(name), (context, r)
+
+
+def _assert_scalar_equals_vector(cfg, context=None):
+    """``vector=False`` against the default path, which must be the
+    vector replay with no fallback recorded: runs and snapshots agree."""
+    ra, rb = MetricsRegistry(), MetricsRegistry()
+    a = simulate_training(cfg, obs=ra, vector=False)
+    b = simulate_training(cfg, obs=rb)
+    assert (a.execution_path, b.execution_path) == ("scalar", "vector"), context
+    assert not any(m == "sim.vector.fallback" for m, _ in _metric_index(rb))
+    _assert_runs_match(a, b, context)
+    _assert_snapshots_match(ra, rb, context)
+    return a, b
+
+
+def test_vector_matches_scalar_on_non_power_of_two():
+    """48 ranks: levels 16 and 32 are short (rank 48 does not exist, so
+    neither does level 16's edge 48 -> 32) — the remainder branches of
+    the scalar tree algorithms."""
     cfg = SimJobConfig(
         shape=RunShape.parse("48-4-16"),
         workload=default_workload(50.0),
         script=IterationScript((1,), (1,), represented_iterations=30),
         seed=7,
     )
-    simulate_training(cfg, obs=reg, vector=True)
-    assert _vector_phases(reg) == 0
+    _assert_scalar_equals_vector(cfg)
 
 
 @pytest.mark.skipif(
@@ -218,6 +245,48 @@ def test_shard_count_validation():
         ShardPool(_Stub(), 3)
     with pytest.raises(ValueError):
         ShardPool(_Stub(), 1)
+
+    class _NonPow2:
+        p = 96  # 2 divides it, but blocks of 48 would mis-split level 16
+        n_chains = 0
+
+    with pytest.raises(ValueError, match="power-of-two communicator"):
+        ShardPool(_NonPow2(), 2)
+
+    class _Chained:
+        p = 64
+        n_chains = 3
+
+    with pytest.raises(ValueError, match="serial-broadcast schedule"):
+        ShardPool(_Chained(), 2)
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs",
+    [("96-4-16", {}), ("64-4-16", {"bcast_algorithm": "serial"})],
+    ids=["non_pow2", "serial"],
+)
+def test_unshardable_config_runs_single_process(spec, kwargs):
+    """``shards > 1`` on a config the block split cannot serve is decided
+    from the config: the run stays on the vector path, in one process."""
+    plain = simulate_training(_cfg(spec, **kwargs))
+    sharded = simulate_training(_cfg(spec, **kwargs), shards=2, speculate=True)
+    assert (plain.execution_path, sharded.execution_path) == ("vector", "vector")
+    _assert_runs_match(plain, sharded)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_network_smaller_than_the_run_is_rejected_up_front(vector):
+    """Used to die mid-run with ``rank 8 out of range 0..7`` (scalar) or
+    ``rank 63 ...`` from cost-class pricing (vector)."""
+    for network in (
+        EthernetNetworkModel(nodes=2, ranks_per_node=4),
+        TorusNetworkModel(nodes=2, ranks_per_node=4),
+    ):
+        with pytest.raises(
+            ValueError, match="network model covers 8 ranks, run shape has 64"
+        ):
+            simulate_training(_cfg("64-4-16", network=network), vector=vector)
 
 
 VARIANTS = {
@@ -273,19 +342,23 @@ def test_vector_fallback_reason_recorded():
 
     cases = {
         "staged_load": _cfg("64-4-16", load_data_mode="staged"),
-        "serial_bcast": _cfg("64-4-16", bcast_algorithm="serial"),
+        # the jittered gradient time feeds the exposed-comm charge
+        "noise_model": _cfg(
+            "64-4-16", noise=LinuxJitter(), overlap_gradient=True
+        ),
         "small_comm": _cfg("8-4-16"),
     }
     for want, cfg in cases.items():
         reg = MetricsRegistry()
-        simulate_training(cfg, obs=reg, vector=True)
+        res = simulate_training(cfg, obs=reg, vector=True)
+        assert res.execution_path == "scalar"
         idx = _metric_index(reg)
         key = ("sim.vector.fallback", json.dumps({"reason": want}))
         assert key in idx and idx[key]["value"] == 1, (want, sorted(idx))
-    # an *eligible* run must not record any fallback
-    reg = MetricsRegistry()
-    simulate_training(_cfg("64-4-16"), obs=reg, vector=True)
-    assert not any(m == "sim.vector.fallback" for m, _ in _metric_index(reg))
+    # *eligible* runs must not record any fallback — the serial broadcast
+    # (a retired slug) replays as chain phases, bit for bit
+    for cfg in (_cfg("64-4-16"), _cfg("64-4-16", bcast_algorithm="serial")):
+        _assert_scalar_equals_vector(cfg, cfg.bcast_algorithm)
     # the reason helper is the single source of truth the counter uses
     assert (
         vector_fallback_reason(_cfg("64-4-16"), object(), trace_p2p=True)

@@ -275,3 +275,33 @@ def test_stub_reduction_preserves_bytes_and_rejects_mismatch():
     assert SUM(PayloadStub(10), PayloadStub(10)).nbytes == 10
     with pytest.raises(ValueError):
         SUM(PayloadStub(10), PayloadStub(20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(min_value=1, max_value=200))
+def test_property_binomial_levels_are_the_executed_tree(size):
+    """At any size — off a power of two the top levels are short — the
+    level schedule is exactly the (src, dst) pairs an executed root-0
+    ``reduce`` sends on, and the reversed pairs of an executed ``bcast``."""
+    from repro.obs import MetricsRegistry
+    from repro.vmpi import VComm
+    from repro.vmpi.collectives import binomial_levels
+
+    levels = binomial_levels(size)
+    assert [m for m, _l, _p in levels] == [1 << i for i in range(len(levels))]
+    up = {(int(l), int(p)) for _m, lv, pr in levels for l, p in zip(lv, pr)}
+    assert len(up) == size - 1
+
+    def pairs(program):
+        comm = VComm(size, network=ZeroCostNetwork(), obs=MetricsRegistry())
+        comm.run(program)
+        return {(r["src"], r["dst"]) for r in comm.comm_stats.pair_report()}
+
+    def reducer(ctx):
+        yield from reduce(ctx, 1.0)
+
+    def caster(ctx):
+        yield from bcast(ctx, 1.0 if ctx.rank == 0 else None)
+
+    assert pairs(reducer) == up
+    assert pairs(caster) == {(p, l) for l, p in up}
