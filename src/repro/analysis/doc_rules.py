@@ -1,4 +1,5 @@
-"""Docstring-coverage rule for the library tree.
+"""Documentation rules: docstring coverage (DOC001) and live paths in
+the prose documents (DOC002).
 
 The repo's packages are read far more often than they are edited — each
 PR builds on subsystems written by sessions with no shared memory, so an
@@ -13,19 +14,26 @@ are implementation detail and exempt regardless of name.  Trivial
 single-statement bodies — ``pass``-only protocol stubs, one-line
 delegations — are exempt too: a docstring there would restate the code.
 Deliberate omissions take an inline ``# repro: noqa(DOC001)``.
+
+DOC002 keeps DESIGN.md and README.md honest about the tree: a backticked
+repo path — ``src/…``, ``tests/…``, ``benchmarks/…``, ``examples/…``,
+``bench/…``, or a ``dist/script.py``-style path under ``src/repro/`` —
+must exist.  A ``::name`` suffix names a definition and is ignored, a
+``*`` pattern must match something, and a ``{a,b}`` group is not read.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import PurePath
+import re
+from pathlib import Path, PurePath
 from typing import Iterable
 
 from repro.analysis.astutil import ModuleContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import Rule, RuleInfo, register
 
-__all__ = ["DocstringCoverageRule"]
+__all__ = ["DocstringCoverageRule", "DocPathRule", "stale_doc_paths"]
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -99,3 +107,54 @@ class DocstringCoverageRule(Rule):
                 return False
             cur = ctx.parent(cur)
         return True
+
+
+_BACKTICKED = re.compile(r"`([^`\s]+)`")
+_TOP_DIRS = ("src", "tests", "benchmarks", "examples", "bench")
+
+
+def stale_doc_paths(text: str, root: Path) -> list[tuple[int, str]]:
+    """``(line, token)`` for every backticked repo path in the markdown
+    ``text`` that does not exist in the checkout at ``root``."""
+    stale = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for token in _BACKTICKED.findall(line):
+            path = token.split("::")[0].rstrip("/")
+            head, slash, _rest = path.partition("/")
+            if not (head and slash) or any(c in path for c in "…<{"):
+                continue  # not a relative path, or a placeholder
+            base = root if head in _TOP_DIRS else root / "src" / "repro"
+            if (base / head).is_dir() and not any(base.glob(path)):
+                stale.append((lineno, token))
+    return stale
+
+
+@register
+class DocPathRule(Rule):
+    """DOC002: a repo path named in DESIGN.md or README.md must exist.
+
+    The documents are those of the checkout the analyzer runs from
+    (an installed package has none), read once per lint run."""
+
+    info = RuleInfo(
+        id="DOC002",
+        name="stale path in docs",
+        severity=Severity.WARNING,
+        rationale="a module map that names files which do not exist sends "
+        "every later session looking for them",
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        return ()  # findings point into the documents: see finish_run
+
+    def finish_run(self) -> Iterable[Finding]:
+        """One finding per stale path, located in the document."""
+        root = Path(__file__).resolve().parents[3]
+        for doc in ("DESIGN.md", "README.md"):
+            if (root / doc).is_file():
+                text = (root / doc).read_text(encoding="utf-8")
+                for line, token in stale_doc_paths(text, root):
+                    yield Finding(
+                        self.info.id, self.info.severity, doc, line,
+                        f"`{token}` names a path that does not exist",
+                    )

@@ -43,6 +43,33 @@ import sys
 from repro.dist import IterationScript
 
 
+class _InputError(Exception):
+    """A file or spec named on the command line that cannot be used;
+    ``str()`` is ``<path or spec>: <reason>`` and :func:`main` turns it
+    into one ``repro <cmd>: ...`` line and exit code 2."""
+
+
+def _load_fault_plan(path: str):
+    """The fault plan at ``path`` (``--fault-plan``)."""
+    from repro.faults import FaultPlan
+
+    try:
+        return FaultPlan.from_file(path)
+    except (OSError, ValueError) as exc:  # unreadable; not JSON, unknown kind
+        reason = getattr(exc, "strerror", None) or exc
+        raise _InputError(f"{path}: {reason}") from None
+
+
+def _parse_shape(spec: str):
+    """The :class:`~repro.bgq.RunShape` a ``ranks-rpn-threads`` spec names."""
+    from repro.bgq import RunShape
+
+    try:
+        return RunShape.parse(spec)
+    except ValueError as exc:
+        raise _InputError(f"{spec}: {exc}") from None
+
+
 def _script(args: argparse.Namespace) -> IterationScript:
     from repro.util.rng import spawn
 
@@ -97,11 +124,11 @@ def _train_with_faults(args, source, net, obs):
     import tempfile
     from pathlib import Path
 
-    from repro.faults import FaultPlan, FaultPolicy
+    from repro.faults import FaultPolicy
     from repro.hf import HFConfig, HessianFreeOptimizer
     from repro.util import RunLog
 
-    plan = FaultPlan.from_file(args.fault_plan)
+    plan = _load_fault_plan(args.fault_plan)
     crash_at = plan.crash_time(0)
     theta0 = net.init_params(args.seed)
     if crash_at is None:
@@ -412,9 +439,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     fault_plan = None
     if args.fault_plan:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.from_file(args.fault_plan)
+        fault_plan = _load_fault_plan(args.fault_plan)
         try:
             # rank 0 is the frontend, so the job has replicas + 1 ranks
             fault_plan.validate_ranks(args.replicas + 1)
@@ -486,19 +511,18 @@ def _sim_config(args: argparse.Namespace, spec: str):
     failure detector off a fault-free anchor run when a plan is given
     (the timeout must exceed the slowest honest phase; one full
     iteration is a safe upper bound on any single phase)."""
-    from repro.bgq import RunShape
     from repro.dist import SimJobConfig, simulate_training
     from repro.harness import default_workload
 
-    shape = RunShape.parse(spec)
+    shape = _parse_shape(spec)
     workload = default_workload(args.hours)
     script = _script(args)
     fault_plan = None
     fault_policy = None
     if args.fault_plan:
-        from repro.faults import FaultPlan, FaultPolicy
+        from repro.faults import FaultPolicy
 
-        fault_plan = FaultPlan.from_file(args.fault_plan)
+        fault_plan = _load_fault_plan(args.fault_plan)
         anchor = simulate_training(
             SimJobConfig(
                 shape=shape, workload=workload, script=script, seed=args.seed,
@@ -970,7 +994,11 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    rc = args.func(args)
+    try:
+        rc = args.func(args)
+    except _InputError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     return int(rc) if rc is not None else 0
 
 

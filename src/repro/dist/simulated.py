@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,8 +34,8 @@ from repro.bgq.kernel import CnkNoise, NoiseModel
 from repro.bgq.network import TorusNetworkModel
 from repro.bgq.node import RunShape
 from repro.dist.partition import balanced_partition, naive_partition
-from repro.dist.script import IterationScript, default_script
-from repro.dist.timeline import COLL, COMPUTE, P2P, RankBreakdown, label, split_breakdown
+from repro.dist.script import IterationScript, Phase, Schedule, default_script
+from repro.dist.timeline import COMPUTE, P2P, RankBreakdown, label, split_breakdown
 from repro.dist.workload import SimWorkload
 from repro.faults import (
     FaultInjector,
@@ -47,11 +46,9 @@ from repro.faults import (
 )
 from repro.sim.engine import Timeout
 from repro.sim.trace import Tracer
-from repro.nn.parallel_sgd import exposed_comm_model
 from repro.speech.hmm import HmmSpec
 from repro.util.rng import spawn
 from repro.vmpi.algoselect import CollectivePolicy
-from repro.vmpi.collcost import bcast_cost, collective_params, reduce_cost
 from repro.vmpi.collectives import bcast, reduce, serial_bcast
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, RankCtx, RecvTimeoutError, VComm
 from repro.vmpi.costmodel import NetworkModel, PayloadStub
@@ -396,47 +393,34 @@ def _make_programs(
 ):
     """Build the per-rank generator programs for one training run.
 
-    With no ``cfg.fault_policy`` this returns the synchronous collective
-    protocol (the paper's); with one it returns the fault-tolerant
-    master-driven tagged-p2p protocol (DESIGN.md §8), recording every
-    recovery action into ``recovery``.
+    One master program and one worker program interpret the run's
+    :class:`~repro.dist.script.Schedule`; how a phase's work reaches the
+    workers and its result comes back is the *exchange*.  With no
+    ``cfg.fault_policy`` that is the synchronous collective protocol
+    (the paper's); with one it is the fault-tolerant master-driven
+    tagged-p2p protocol (DESIGN.md §8), recording every recovery action
+    into ``recovery``.
     """
     shape = cfg.shape
-    wl = cfg.workload
-    cores = shape.cores_per_rank
-    tpc = shape.threads_per_core
-    rpn = shape.ranks_per_node
-    theta = PayloadStub(wl.theta_bytes, "theta")
+    schedule = Schedule(cfg, plan, network, policy)
+    phases = schedule.phases
+    theta_nbytes = cfg.workload.theta_bytes
+    theta = PayloadStub(theta_nbytes, "theta")
+    loss_stub = PayloadStub(16, "loss")
     seg = cfg.segment_bytes
-    alpha, coll_bw = collective_params(network)
 
-    def _fast_path(nbytes: int) -> bool:
-        """Large payloads take the validated closed-form cost; small ones
-        execute the real tree algorithms message-by-message."""
-        return nbytes > seg and shape.ranks > 8
+    def _route(model, nbytes: int) -> tuple[bool, str, float]:
+        """(modeled?, algo label, cost) of one collective: large payloads
+        take the validated closed-form cost; small ones execute the real
+        tree algorithms message-by-message.  The protocol moves two
+        payload sizes, so every routing decision is made once per run."""
+        if nbytes > seg and shape.ranks > 8:
+            return (True, *model(nbytes))
+        return False, "fixed", 0.0
 
-    def _bcast_model(nbytes: int) -> tuple[str, float]:
-        """(algo label, closed-form cost) for a fast-path broadcast."""
-        if policy is not None:
-            algo, cost = policy.bcast_choice(shape.ranks, nbytes)
-            return str(algo), cost
-        return "fixed", bcast_cost(shape.ranks, nbytes, alpha, coll_bw)
-
-    def _reduce_model(nbytes: int) -> tuple[str, float]:
-        """(algo label, closed-form cost) for a fast-path reduction."""
-        if policy is not None:
-            algo, cost = policy.reduce_choice(shape.ranks, nbytes)
-            return str(algo), cost
-        return "fixed", reduce_cost(shape.ranks, nbytes, alpha, coll_bw)
-
-    # Almost every collective in the protocol moves theta; freeze its
-    # routing decision and closed-form costs once (bit-identical to
-    # recomputing them per call — same pure functions, same arguments).
-    theta_nbytes = wl.theta_bytes
-    theta_fast = _fast_path(theta_nbytes)
-    theta_bcast_algo, theta_bcast_cost = _bcast_model(theta_nbytes)
-    theta_reduce_algo, theta_reduce_cost = _reduce_model(theta_nbytes)
-
+    bcast_route = _route(schedule.bcast_model, theta_nbytes)
+    reduce_route = _route(schedule.reduce_model, theta_nbytes)
+    loss_route = _route(schedule.reduce_model, loss_stub.nbytes)
     sync_stub = PayloadStub(4, "sync")
     go_stub = PayloadStub(4, "go")
 
@@ -457,77 +441,29 @@ def _make_programs(
 
     serial = cfg.bcast_algorithm == "serial"
 
-    # DDP-style bucketed gradient overlap: layer gradients coalesced in
-    # backward order; each bucket's reduction pipelines behind the
-    # compute producing the next, so only the exposed communication is
-    # charged after the (full) gradient compute.
-    overlap = cfg.overlap_gradient
-    if overlap:
-        layer_bytes = [
-            (i * o + o) * wl.dtype_bytes for i, o in wl.geometry.layer_pairs()
-        ]
-        # shared with the vector fast path: both paths build the bucket
-        # plan, per-bucket reduction prices and exposed-comm schedule
-        # through this one constructor, so every rank's overlap charge
-        # is bit-identical on either executor
-        _bucket_plan, _exposed = exposed_comm_model(
-            layer_bytes,
-            cfg.gradient_bucket_bytes,
-            theta_nbytes,
-            lambda b: _reduce_model(b)[1],
-        )
-        grad_algo = theta_reduce_algo + "+overlap"
-
-    # span labels, composed once per run instead of once per span
-    lbl_sync_master = label(COLL, "sync_weights_master")
-    lbl_sync = label(COLL, "sync_weights")
-    lbl_cg_bcast = label(COLL, "cg_bcast")
-    lbl_cg_reduce = label(COLL, "cg_reduce")
-    lbl_reduce_grad = label(COLL, "reduce_gradient")
-    lbl_reduce_loss = label(COLL, "reduce_loss")
-    lbl_gradient = label(COMPUTE, "gradient_loss")
-    lbl_curvature = label(COMPUTE, "worker_curvature_product")
-    lbl_heldout = label(COMPUTE, "heldout_loss")
-
-    def coll_bcast(ctx: RankCtx, lbl: str, payload=None):
-        if serial:
-            t0 = ctx.now
-            result = yield from serial_bcast(ctx, payload, root=0)
-            ctx.record_span(lbl, t0)
-            return result
-        if isinstance(payload, PayloadStub) and payload.nbytes != theta_nbytes:
-            nbytes = payload.nbytes
-            fast = _fast_path(nbytes)
-            algo, cost = _bcast_model(nbytes) if fast else ("fixed", 0.0)
-        else:
-            fast = theta_fast
-            algo, cost = theta_bcast_algo, theta_bcast_cost
-        if fast:
-            yield from _modeled_collective(ctx, lbl, cost, "bcast", algo)
-            return payload
+    def _spanned(ctx: RankCtx, lbl: str, collective):
+        """An executed collective under one span."""
         t0 = ctx.now
-        result = yield from bcast(ctx, payload, root=0, segment_bytes=seg)
+        yield from collective
         ctx.record_span(lbl, t0)
-        return result
+
+    # Both return the generator to delegate to rather than wrapping it: a
+    # ``yield from`` level costs every resume of everything beneath it.
+    def coll_bcast(ctx: RankCtx, lbl: str, payload=None):
+        """Theta from the master (``payload`` is ``None`` on workers)."""
+        fast, algo, cost = bcast_route
+        if serial:
+            return _spanned(ctx, lbl, serial_bcast(ctx, payload, root=0))
+        if fast:
+            return _modeled_collective(ctx, lbl, cost, "bcast", algo)
+        return _spanned(ctx, lbl, bcast(ctx, payload, root=0, segment_bytes=seg))
 
     def coll_reduce(ctx: RankCtx, lbl: str, payload):
-        if isinstance(payload, PayloadStub) and payload.nbytes != theta_nbytes:
-            nbytes = payload.nbytes
-            fast = _fast_path(nbytes)
-            algo, cost = _reduce_model(nbytes) if fast else ("fixed", 0.0)
-        else:
-            fast = theta_fast
-            algo, cost = theta_reduce_algo, theta_reduce_cost
+        """``payload`` — theta or the loss stub — summed onto the master."""
+        fast, algo, cost = loss_route if payload is loss_stub else reduce_route
         if fast:
-            yield from _modeled_collective(ctx, lbl, cost, "reduce", algo)
-            return payload if ctx.rank == 0 else None
-        t0 = ctx.now
-        result = yield from reduce(ctx, payload, root=0, segment_bytes=seg)
-        ctx.record_span(lbl, t0)
-        return result
-
-    def noisy(seconds: float, rng: np.random.Generator) -> float:
-        return cfg.noise.perturb(seconds, rng)
+            return _modeled_collective(ctx, lbl, cost, "reduce", algo)
+        return _spanned(ctx, lbl, reduce(ctx, payload, root=0, segment_bytes=seg))
 
     fanout = cfg.load_data_fanout
     mode = cfg.load_data_mode
@@ -590,105 +526,45 @@ def _make_programs(
             yield from ctx.recv(source=0, tag=_TAG_DATA)
             ctx.record_span(label(P2P, "load_data"), t0)
 
-    def master_program(ctx: RankCtx):
-        yield from master_load(ctx)
+    class CollectiveExchange:
+        """The paper's protocol: theta down a broadcast, the result up a
+        reduction; every rank walks the phase table in step."""
 
-        # The per-phase compute charges are invariant across iterations
-        # (same frames, same machine shape), so evaluate the perf models
-        # once instead of once per loop body — identical floats, and the
-        # GEMM model drops out of the simulator's hot path.
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
-        if overlap:
-            # the master produces no gradient; its charge is the exposed
-            # communication behind the slowest worker's nominal compute
-            # (the barrier inside the modeled collective makes the actual
-            # straggler wait emergent either way)
-            master_exposed = _exposed(
-                wl.gradient_seconds(int(plan.grad_frames.max()), cores, tpc, rpn)
+        def __init__(self, ctx: RankCtx) -> None:
+            self.ctx = ctx
+            self.todo = iter(phases)
+
+        def scatter_gather(self, ph: Phase):
+            """Master: theta out, the reduction back."""
+            yield from coll_bcast(self.ctx, ph.bcast_labels[0], theta)
+            yield from self.reply(ph, None)
+
+        def next_work(self):
+            """Worker: the next phase, once its theta has arrived."""
+            ph = next(self.todo, None)
+            if ph is not None:
+                yield from coll_bcast(self.ctx, ph.bcast_labels[1])
+            return ph
+
+        def reply(self, ph: Phase, secs: float | None):
+            """The phase's reduction, to delegate to; ``secs`` is the
+            gradient compute just charged (``None`` on the master)."""
+            if ph.reduce != "overlap":
+                return coll_reduce(
+                    self.ctx, ph.reduce_label,
+                    theta if ph.reduce == "theta" else loss_stub,
+                )
+            # full gradient compute already charged; the bucketed
+            # pipeline leaves only the exposed communication
+            cost = schedule.master_exposed if secs is None else schedule.exposed(secs)
+            return _modeled_collective(
+                self.ctx, ph.reduce_label, cost, "reduce", schedule.grad_algo
             )
-        for it in range(cfg.script.n_iterations):
-            # gradient phase: theta out, gradient back
-            yield from coll_bcast(ctx, lbl_sync_master, theta)
-            if overlap:
-                yield from _modeled_collective(
-                    ctx, lbl_reduce_grad, master_exposed, "reduce", grad_algo
-                )
-            else:
-                yield from coll_reduce(ctx, lbl_reduce_grad, theta)
-            yield from ctx.compute(hf_master_secs, label(COMPUTE, "hf_master"))
-            # CG loop
-            for _k in range(cfg.script.cg_iters[it]):
-                yield from coll_bcast(ctx, lbl_cg_bcast, theta)
-                yield from coll_reduce(ctx, lbl_cg_reduce, theta)
-                yield from ctx.compute(
-                    cg_minimize_secs, label(COMPUTE, "cg_minimize")
-                )
-            # held-out evaluations (CG backtracking + Armijo)
-            for _e in range(cfg.script.heldout_evals[it]):
-                yield from coll_bcast(ctx, lbl_sync_master, theta)
-                yield from coll_reduce(
-                    ctx, lbl_reduce_loss, PayloadStub(16, "loss")
-                )
-        return ctx.now
 
-    def make_worker(widx: int) -> Callable:
-        def worker_program(ctx: RankCtx):
-            rng = spawn(cfg.seed, "noise", widx)
-            yield from worker_load(ctx, widx)
+        def finish(self):
+            """Nothing to tear down: the table's end is the run's end."""
+            return ()
 
-            gf = int(plan.grad_frames[widx])
-            hf = int(plan.heldout_frames[widx])
-            # Invariant perf-model charges, hoisted out of the loops (the
-            # per-call noisy() perturbation stays inside so the rng draw
-            # sequence — and thus every simulated time — is unchanged).
-            gradient_secs = wl.gradient_seconds(gf, cores, tpc, rpn)
-            heldout_secs = wl.heldout_seconds(hf, cores, tpc, rpn)
-            loss_stub = PayloadStub(16, "loss")
-            for it in range(cfg.script.n_iterations):
-                yield from coll_bcast(ctx, lbl_sync)
-                g = noisy(gradient_secs, rng)
-                yield from ctx.compute(g, lbl_gradient)
-                if overlap:
-                    # full gradient compute already charged above; the
-                    # bucketed pipeline leaves only the exposed comm
-                    yield from _modeled_collective(
-                        ctx, lbl_reduce_grad, _exposed(g), "reduce", grad_algo
-                    )
-                else:
-                    yield from coll_reduce(ctx, lbl_reduce_grad, theta)
-                cf = int(plan.curv_frames[it][widx])
-                # per-CG-call forward cache (setup) charged on first product
-                setup = wl.curvature_setup_seconds(cf, cores, tpc, rpn)
-                product_secs = wl.curvature_product_seconds(cf, cores, tpc, rpn)
-                for k in range(cfg.script.cg_iters[it]):
-                    yield from coll_bcast(ctx, lbl_cg_bcast)
-                    secs = product_secs
-                    if k == 0:
-                        secs += setup
-                    yield from ctx.compute(
-                        noisy(secs, rng),
-                        lbl_curvature,
-                    )
-                    yield from coll_reduce(ctx, lbl_cg_reduce, theta)
-                for _e in range(cfg.script.heldout_evals[it]):
-                    yield from coll_bcast(ctx, lbl_sync)
-                    yield from ctx.compute(
-                        noisy(heldout_secs, rng),
-                        lbl_heldout,
-                    )
-                    yield from coll_reduce(
-                        ctx, lbl_reduce_loss, loss_stub
-                    )
-            return ctx.now
-
-        return worker_program
-
-    pol = cfg.fault_policy
-    if pol is None:
-        return [master_program] + [make_worker(w) for w in range(cfg.n_workers)]
-
-    # ----------------------------------------------- fault-tolerant protocol
     # Master-driven tagged p2p (DESIGN.md §8): every phase (gradient, one
     # CG product, one held-out eval) gets a unique tag; the master sends
     # work to each live worker and collects replies under that tag with a
@@ -696,40 +572,60 @@ def _make_programs(
     # that stay silent through all retries; quorum phases (CG) proceed
     # once ``pol.cg_quorum`` of the live set replied, keeping stragglers
     # in the protocol.  Work payloads are PayloadStubs whose ``kind``
-    # string ("grad:<it>", "cg:<it>:<k>", "eval:<it>:<e>", "shutdown")
-    # tells the worker what to compute and charge.
-    assert recovery is not None  # simulate_training builds one with the policy
+    # string (the phase's wire name, or "shutdown") tells the worker
+    # what to compute and charge.
+    pol = cfg.fault_policy
     shutdown_stub = PayloadStub(4, "shutdown")
     lbl_collect = label(P2P, "ft_collect")
     lbl_restart = label(COMPUTE, "master_restart")
-    lbl_hf_master = label(COMPUTE, "hf_master")
-    lbl_cg_minimize = label(COMPUTE, "cg_minimize")
     total_frames = float(plan.grad_frames.sum())
+    by_name = {ph.name: ph for ph in phases}
 
-    def ft_master(ctx: RankCtx):
-        yield from master_load(ctx)
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
-        live = list(range(1, shape.ranks))
-        phase = [0]
-        lost_frames = [0.0]
-        restart_at = (
-            injector.master_crash_time() if injector is not None else None
-        )
-        restarted = False
+    class RecoveringExchange:
+        """The same two programs over a transport that survives faults."""
 
-        def dispatch_collect(what: str, payload: PayloadStub,
-                             quorum: float, strict: bool):
-            """Send ``payload`` to every live worker under a fresh tag and
-            collect replies; returns the set of ranks that answered."""
+        def __init__(self, ctx: RankCtx) -> None:
+            self.ctx = ctx
+            if ctx.rank == 0:  # the live set is the master's alone: O(p)
+                self.tag = _TAG_WORK0  # the next phase's
+                self.live = list(range(1, shape.ranks))
+                self.lost_frames = 0.0
+                self.restart_at = (
+                    injector.master_crash_time() if injector is not None else None
+                )
+            else:
+                self.tag = -1  # of the work last answered
+                self.last_reply = loss_stub
+
+        def scatter_gather(self, ph: Phase):
+            """Send ``ph`` to every live worker under a fresh tag and
+            collect the replies (all of them, or the CG quorum)."""
+            ctx, live = self.ctx, self.live
+            if (
+                ph.opens_iteration
+                and self.restart_at is not None
+                and ctx.now >= self.restart_at
+            ):
+                # Fail-stop master: model the respawn reloading the last
+                # iteration-boundary checkpoint (util.checkpoint format)
+                # and replaying nothing — iteration-granular recovery.
+                self.restart_at = None
+                yield from ctx.compute(pol.restart_seconds, lbl_restart)
+                recovery.add(
+                    ctx.now, "master_restart", 0,
+                    f"checkpoint-restart resumed before iteration "
+                    f"{ph.iteration} ({pol.restart_seconds:g}s modeled reload)",
+                )
+            what = ph.name
+            payload = PayloadStub(theta_nbytes, what)
             t0 = ctx.now
-            tag = _TAG_WORK0 + phase[0]
-            phase[0] += 1
+            tag = self.tag
+            self.tag += 1
             for w in live:
                 yield from ctx.send(w, payload, tag=tag)
             needed = (
-                len(live) if strict
-                else max(1, math.ceil(quorum * len(live)))
+                len(live) if ph.strict
+                else max(1, math.ceil(pol.cg_quorum * len(live)))
             )
             replied: set[int] = set()
             retries = 0
@@ -764,10 +660,10 @@ def _make_programs(
                     replied.add(msg.src)
             if len(replied) < needed:
                 missing = [w for w in live if w not in replied]
-                if strict:
+                if ph.strict:
                     for w in missing:
                         live.remove(w)
-                        lost_frames[0] += float(plan.grad_frames[w - 1])
+                        self.lost_frames += float(plan.grad_frames[w - 1])
                         recovery.add(
                             ctx.now, "exclude", w,
                             f"silent through {retries} retries of {what}",
@@ -779,7 +675,7 @@ def _make_programs(
                         raise FaultRecoveryError(
                             f"all workers dead at {what} (t={ctx.now:g})"
                         )
-                    surviving = total_frames - lost_frames[0]
+                    surviving = total_frames - self.lost_frames
                     recovery.add(
                         ctx.now, "renormalize", 0,
                         f"gradient weight over {surviving:.0f}/"
@@ -797,91 +693,61 @@ def _make_programs(
                         "GN-sample workers",
                     )
             ctx.record_span(lbl_collect, t0)
-            return replied
 
-        for it in range(cfg.script.n_iterations):
-            if (
-                restart_at is not None
-                and not restarted
-                and ctx.now >= restart_at
-            ):
-                # Fail-stop master: model the respawn reloading the last
-                # iteration-boundary checkpoint (util.checkpoint format)
-                # and replaying nothing — iteration-granular recovery.
-                restarted = True
-                yield from ctx.compute(pol.restart_seconds, lbl_restart)
-                recovery.add(
-                    ctx.now, "master_restart", 0,
-                    f"checkpoint-restart resumed before iteration {it} "
-                    f"({pol.restart_seconds:g}s modeled reload)",
-                )
-            yield from dispatch_collect(
-                f"grad:{it}", PayloadStub(theta_nbytes, f"grad:{it}"),
-                1.0, True,
-            )
-            yield from ctx.compute(hf_master_secs, lbl_hf_master)
-            for k in range(cfg.script.cg_iters[it]):
-                yield from dispatch_collect(
-                    f"cg:{it}:{k}",
-                    PayloadStub(theta_nbytes, f"cg:{it}:{k}"),
-                    pol.cg_quorum, False,
-                )
-                yield from ctx.compute(cg_minimize_secs, lbl_cg_minimize)
-            for e in range(cfg.script.heldout_evals[it]):
-                yield from dispatch_collect(
-                    f"eval:{it}:{e}",
-                    PayloadStub(theta_nbytes, f"eval:{it}:{e}"),
-                    1.0, True,
-                )
-        tag = _TAG_WORK0 + phase[0]
-        for w in live:
-            yield from ctx.send(w, shutdown_stub, tag=tag)
-        return ctx.now
-
-    def ft_make_worker(widx: int) -> Callable:
-        def ft_worker(ctx: RankCtx):
-            rng = spawn(cfg.seed, "noise", widx)
-            yield from worker_load(ctx, widx)
-            gf = int(plan.grad_frames[widx])
-            hfr = int(plan.heldout_frames[widx])
-            gradient_secs = wl.gradient_seconds(gf, cores, tpc, rpn)
-            heldout_secs = wl.heldout_seconds(hfr, cores, tpc, rpn)
-            loss_stub = PayloadStub(16, "loss")
-            last_tag = -1
-            last_reply = loss_stub
+        def next_work(self):
+            """Worker: the next fresh phase; a duplicate (a master retry
+            that crossed our reply) gets the cached reply retransmitted,
+            not recomputed; ``None`` on shutdown."""
+            ctx = self.ctx
             while True:
                 msg = yield from ctx.recv(source=0, tag=ANY_TAG, timeout=None)
                 kind = msg.payload.kind
                 if kind == "shutdown":
-                    return ctx.now
-                if msg.tag == last_tag:
-                    # duplicate work (a master retry that crossed our
-                    # reply): retransmit the cached reply, don't recompute
-                    yield from ctx.send(0, last_reply, tag=msg.tag)
+                    return None
+                if msg.tag == self.tag:
+                    yield from ctx.send(0, self.last_reply, tag=msg.tag)
                     continue
-                parts = kind.split(":")
-                op = parts[0]
-                if op == "grad":
-                    yield from ctx.compute(noisy(gradient_secs, rng), lbl_gradient)
-                    reply: PayloadStub = theta
-                elif op == "cg":
-                    it, k = int(parts[1]), int(parts[2])
-                    cf = int(plan.curv_frames[it][widx])
-                    secs = wl.curvature_product_seconds(cf, cores, tpc, rpn)
-                    if k == 0:
-                        secs += wl.curvature_setup_seconds(cf, cores, tpc, rpn)
-                    yield from ctx.compute(noisy(secs, rng), lbl_curvature)
-                    reply = theta
-                else:  # "eval"
-                    yield from ctx.compute(noisy(heldout_secs, rng), lbl_heldout)
-                    reply = loss_stub
-                yield from ctx.send(0, reply, tag=msg.tag)
-                last_tag = msg.tag
-                last_reply = reply
+                self.tag = msg.tag
+                return by_name[kind]
 
-        return ft_worker
+        def reply(self, ph: Phase, secs: float | None):
+            """Worker: the answer, under the tag the work arrived on."""
+            self.last_reply = loss_stub if ph.reduce == "loss" else theta
+            return self.ctx.send(0, self.last_reply, tag=self.tag)
 
-    return [ft_master] + [ft_make_worker(w) for w in range(cfg.n_workers)]
+        def finish(self):
+            """Master: release the surviving workers."""
+            for w in self.live:
+                yield from self.ctx.send(w, shutdown_stub, tag=self.tag)
+
+    exchange = CollectiveExchange if pol is None else RecoveringExchange
+
+    def master_program(ctx: RankCtx):
+        yield from master_load(ctx)
+        ex = exchange(ctx)
+        for ph in phases:
+            yield from ex.scatter_gather(ph)
+            if ph.master_label is not None:
+                yield from ctx.compute(ph.master_secs, ph.master_label)
+        yield from ex.finish()
+        return ctx.now
+
+    def make_worker(widx: int) -> Callable:
+        def worker_program(ctx: RankCtx):
+            rng = spawn(cfg.seed, "noise", widx)
+            yield from worker_load(ctx, widx)
+            ex = exchange(ctx)
+            # one perturb per compute charge, in program order: the rng
+            # draw sequence is what every simulated time hangs on
+            while (ph := (yield from ex.next_work())) is not None:
+                secs = cfg.noise.perturb(float(ph.worker_secs[widx]), rng)
+                yield from ctx.compute(secs, ph.compute_label)
+                yield from ex.reply(ph, secs)
+            return ctx.now
+
+        return worker_program
+
+    return [master_program] + [make_worker(w) for w in range(cfg.n_workers)]
 
 
 # -------------------------------------------------------------- entry point
@@ -930,8 +796,8 @@ def simulate_training(
     ``speculate`` selects the sharded pool's optimistic window protocol
     (checkpointed per-shard clock slices, rollback on cross-shard
     causality violation) instead of the conservative two-barrier
-    protocol; ``None`` follows the ``REPRO_SIM_SPECULATE`` env toggle
-    (default off).  Committed results are bit-identical either way.
+    protocol (``None`` means off).  Committed results are bit-identical
+    either way.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -1009,8 +875,6 @@ def simulate_training(
         else "disabled"
     )
     if fallback is None:
-        if speculate is None:
-            speculate = os.environ.get("REPRO_SIM_SPECULATE", "0") == "1"
         if not vector_shardable(cfg):
             shards = 1
         if shards > 1:

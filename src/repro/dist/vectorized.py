@@ -1,10 +1,10 @@
 """Vectorized SPMD fast path: whole-phase array execution of the trainer.
 
-When every rank runs the same program shape — the synchronous collective
-protocol of :mod:`repro.dist.simulated` with no faults, on a
-communicator of any size above eight — the per-iteration schedule is a
-fixed sequence of *homogeneous phases*: a modeled-collective barrier
-(4-byte sync reduce + 4-byte go bcast + closed-form transfer charge,
+When every rank runs the same program shape — the phase table of
+:class:`repro.dist.script.Schedule` over the collective exchange, with
+no faults, on a communicator of any size above eight — each row of the
+table is a fixed sequence of *homogeneous phases*: a modeled-collective
+barrier (4-byte sync reduce + 4-byte go bcast + closed-form transfer charge,
 priced either by the fixed closed forms or by the same memoized
 ``collective_selection="auto"`` policy the scalar path consults), a
 master *chain* (the master sends to ranks 1…p−1 one after another: the
@@ -55,22 +55,15 @@ import numpy as np
 from repro.bgq.kernel import CnkNoise, LinuxJitter
 from repro.bgq.network import TorusNetworkModel
 from repro.cluster.ethernet import EthernetNetworkModel
-from repro.dist.timeline import COLL, COMPUTE, P2P, label
-from repro.nn.parallel_sgd import exposed_comm_model
+from repro.dist.script import Schedule
+from repro.dist.timeline import COMPUTE, P2P, label
 from repro.sim.engine import VectorPhase
 from repro.util.rng import spawn
-from repro.vmpi.collcost import (
-    bcast_cost,
-    collective_params,
-    fixed_reduce_cost_fn,
-    reduce_cost,
-)
 from repro.vmpi.collectives import binomial_levels
 from repro.vmpi.costmodel import UniformNetwork
 
 __all__ = [
     "run_vectorized",
-    "vector_eligible",
     "vector_enabled",
     "vector_fallback_reason",
     "vector_shardable",
@@ -156,14 +149,6 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
     ):
         return "network_model"
     return None
-
-
-def vector_eligible(cfg: Any, network: Any, trace_p2p: bool) -> bool:
-    """True iff the run is exactly the homogeneous SPMD protocol the
-    vector executor replays bit-identically (the conditions — and the
-    per-condition fallback slugs — live on
-    :func:`vector_fallback_reason`)."""
-    return vector_fallback_reason(cfg, network, trace_p2p) is None
 
 
 def vector_shardable(cfg: Any) -> bool:
@@ -296,13 +281,7 @@ class _VectorRun:
         self.tracer = comm.tracer
 
         p = self.p = cfg.shape.ranks
-        wl = cfg.workload
-        shape = cfg.shape
-        cores, tpc, rpn = (
-            shape.cores_per_rank,
-            shape.threads_per_core,
-            shape.ranks_per_node,
-        )
+        schedule = Schedule(cfg, plan, network, policy)
 
         self.cur = np.zeros(p, dtype=np.float64)
         self.busy_up = np.zeros(p, dtype=np.float64)
@@ -329,68 +308,6 @@ class _VectorRun:
             network.injection_time(_LOSS_BYTES),
         ]
 
-        # theta routing frozen once, exactly like _make_programs
-        theta_nbytes = wl.theta_bytes
-        alpha, coll_bw = collective_params(network)
-        if policy is not None:
-            algo, cost = policy.bcast_choice(p, theta_nbytes)
-            b_algo, b_cost = str(algo), cost
-            algo, cost = policy.reduce_choice(p, theta_nbytes)
-            r_algo, r_cost = str(algo), cost
-        else:
-            b_algo = r_algo = "fixed"
-            b_cost = bcast_cost(p, theta_nbytes, alpha, coll_bw)
-            r_cost = reduce_cost(p, theta_nbytes, alpha, coll_bw)
-
-        # invariant nominal per-worker compute charges (the scalar
-        # programs hoist these identically)
-        grad_secs = wl.per_worker_seconds("gradient", plan.grad_frames, cores, tpc, rpn)
-        held_secs = wl.per_worker_seconds(
-            "heldout", plan.heldout_frames, cores, tpc, rpn
-        )
-
-        # DDP-style bucketed gradient overlap: the same cost model the
-        # scalar trainer builds (one exposed-comm charge per rank in
-        # place of the full theta reduction), evaluated once per unique
-        # per-worker gradient time and gathered back over the rank
-        # vector.  The master's charge replicates the scalar master's
-        # slowest-worker nominal compute.
-        overlap_cost = None
-        grad_algo = r_algo
-        if cfg.overlap_gradient:
-            layer_bytes = [
-                (i * o + o) * wl.dtype_bytes for i, o in wl.geometry.layer_pairs()
-            ]
-            cost_fn = (
-                policy.reduce_cost_fn(p)
-                if policy is not None
-                else fixed_reduce_cost_fn(p, network)
-            )
-            _bucket_plan, exposed = exposed_comm_model(
-                layer_bytes, cfg.gradient_bucket_bytes, theta_nbytes, cost_fn
-            )
-            grad_algo = r_algo + "+overlap"
-            overlap_cost = np.empty(p, dtype=np.float64)
-            overlap_cost[0] = exposed(
-                wl.gradient_seconds(int(plan.grad_frames.max()), cores, tpc, rpn)
-            )
-            uniq, inv = np.unique(grad_secs, return_inverse=True)
-            overlap_cost[1:] = np.array(
-                [exposed(float(g)) for g in uniq], dtype=np.float64
-            )[inv]
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
-
-        lbl_sync_master = label(COLL, "sync_weights_master")
-        lbl_sync = label(COLL, "sync_weights")
-        lbl_cg_bcast = label(COLL, "cg_bcast")
-        lbl_cg_reduce = label(COLL, "cg_reduce")
-        lbl_reduce_grad = label(COLL, "reduce_gradient")
-        lbl_reduce_loss = label(COLL, "reduce_loss")
-        lbl_gradient = label(COMPUTE, "gradient_loss")
-        lbl_curvature = label(COMPUTE, "worker_curvature_product")
-        lbl_heldout = label(COMPUTE, "heldout_loss")
-
         self.backend: Any = _InlineBackend(self)
         self.phases: list[Callable[[float], tuple[float, Any]]] = []
         self.phase_labels: list[str] = []
@@ -409,56 +326,39 @@ class _VectorRun:
 
         # add_bcast(lbl_master, lbl_worker): one theta broadcast phase
         if cfg.bcast_algorithm == "serial":
+            theta_nbytes = cfg.workload.theta_bytes
             chain = (
                 network.injection_time(theta_nbytes),
                 *self._root_edge_costs(theta_nbytes),
             )
             add_bcast = functools.partial(self._add_chain, chain)
         else:
-            add_bcast = functools.partial(self._add_barrier, "bcast", b_algo, b_cost)
+            add_bcast = functools.partial(
+                self._add_barrier, "bcast", *schedule.theta_bcast
+            )
 
         self.phases.append(self._load_phase())
-        for it in range(cfg.script.n_iterations):
-            add_bcast(lbl_sync_master, lbl_sync)
-            self._add_compute_workers(grad_secs, lbl_gradient)
-            if overlap_cost is None:
-                self._add_barrier(
-                    "reduce", r_algo, r_cost, lbl_reduce_grad, lbl_reduce_grad
-                )
+        exposed = None  # per-rank overlap charges, priced at the first use
+        for ph in schedule.phases:
+            add_bcast(*ph.bcast_labels)
+            self._add_compute_workers(ph.worker_secs, ph.compute_label)
+            lbl = ph.reduce_label
+            if ph.reduce == "loss":
+                self._add_loss_reduce(lbl)
+            elif ph.reduce == "theta":
+                self._add_barrier("reduce", *schedule.theta_reduce, lbl, lbl)
             else:
                 # bucketed pipeline: the full gradient compute is already
                 # charged above; the reduction leaves only each rank's
-                # exposed communication
-                self._add_barrier(
-                    "reduce",
-                    grad_algo,
-                    overlap_cost,
-                    lbl_reduce_grad,
-                    lbl_reduce_grad,
-                )
-            self._add_compute_master(hf_master_secs, label(COMPUTE, "hf_master"))
-            setup = wl.per_worker_seconds(
-                "curvature_setup", plan.curv_frames[it], cores, tpc, rpn
-            )
-            product = wl.per_worker_seconds(
-                "curvature_product", plan.curv_frames[it], cores, tpc, rpn
-            )
-            first_product = product + setup  # scalar order: product += setup
-            for k in range(cfg.script.cg_iters[it]):
-                add_bcast(lbl_cg_bcast, lbl_cg_bcast)
-                self._add_compute_workers(
-                    first_product if k == 0 else product, lbl_curvature
-                )
-                self._add_barrier(
-                    "reduce", r_algo, r_cost, lbl_cg_reduce, lbl_cg_reduce
-                )
-                self._add_compute_master(
-                    cg_minimize_secs, label(COMPUTE, "cg_minimize")
-                )
-            for _e in range(cfg.script.heldout_evals[it]):
-                add_bcast(lbl_sync_master, lbl_sync)
-                self._add_compute_workers(held_secs, lbl_heldout)
-                self._add_loss_reduce(lbl_reduce_loss)
+                # exposed communication — the master's, then the model
+                # evaluated once per distinct worker gradient time
+                if exposed is None:
+                    uniq, inv = np.unique(ph.worker_secs, return_inverse=True)
+                    per_time = np.array([schedule.exposed(float(g)) for g in uniq])
+                    exposed = np.concatenate(([schedule.master_exposed], per_time[inv]))
+                self._add_barrier("reduce", schedule.grad_algo, exposed, lbl, lbl)
+            if ph.master_label is not None:
+                self._add_compute_master(ph.master_secs, ph.master_label)
         if type(cfg.noise) is not CnkNoise:
             # one stream per worker, one draw per charge, in the order the
             # worker program makes them (CnkNoise draws nothing: no stream).

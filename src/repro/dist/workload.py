@@ -182,15 +182,16 @@ class SimWorkload:
     def per_worker_seconds(
         self, kind: str, frames, cores: float, tpc: int, rpn: int = 1
     ):
-        """Vectorized per-worker phase times for the SPMD fast path.
+        """Per-worker phase times, as the phase table holds them
+        (:class:`repro.dist.script.Schedule`).
 
         ``frames`` is an integer array of per-worker frame counts;
         returns a float64 array where element ``i`` is **the identical
         scalar call** ``<kind>_seconds(int(frames[i]), cores, tpc, rpn)``
         — the model is evaluated once per *unique* frame count (balanced
         partitioning repeats counts heavily) and gathered back, so the
-        result is bit-for-bit what the per-rank program loop computes,
-        at O(unique) model cost.  ``kind`` is one of ``gradient``,
+        result is bit-for-bit what a per-rank loop would compute, at
+        O(unique) model cost.  ``kind`` is one of ``gradient``,
         ``curvature_setup``, ``curvature_product``, ``heldout``.
         """
         fn = getattr(self, f"{kind}_seconds")

@@ -225,10 +225,10 @@ def exposed_comm_model(
     cannot hide behind that rank's compute — the only gradient-sync
     charge an overlapping trainer pays.
 
-    Both the scalar scheduler (:mod:`repro.dist.simulated`) and the SPMD
-    vector fast path (:mod:`repro.dist.vectorized`) construct their
-    overlap phase through this one function, so their per-rank exposed
-    costs are bit-identical by construction.
+    :class:`repro.dist.script.Schedule` builds it once per run; the
+    scalar scheduler (:mod:`repro.dist.simulated`) and the SPMD vector
+    fast path (:mod:`repro.dist.vectorized`) both charge its ``exposed``,
+    so their per-rank costs are bit-identical by construction.
     """
     plan = GradientBucketPlan.from_layers(layer_bytes, cap_bytes)
     bucket_costs = [reduce_cost_fn(b) for b in plan.bucket_bytes]

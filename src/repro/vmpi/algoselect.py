@@ -246,15 +246,6 @@ class CollectivePolicy:
         self._memo[key] = choice
         return choice
 
-    def reduce_cost_fn(self, p: int):
-        """``nbytes -> cost`` closure over :meth:`reduce_choice` at a
-        fixed communicator size — the per-bucket pricing hook the
-        bucketed-overlap model takes
-        (:func:`repro.nn.parallel_sgd.exposed_comm_model`), shared by
-        the scalar scheduler and the SPMD vector fast path so both
-        price every bucket through the same memoized selection."""
-        return lambda nbytes: self.reduce_choice(p, nbytes)[1]
-
     # --------------------------------------------------------------- report
     def crossover_table(
         self, p: int, sizes: tuple[int, ...]

@@ -33,7 +33,6 @@ __all__ = [
     "torus_bcast_cost",
     "torus_allreduce_cost",
     "collective_params",
-    "fixed_reduce_cost_fn",
 ]
 
 
@@ -261,12 +260,3 @@ def torus_allreduce_cost(
             total += a + ring_allreduce_cost(d, nbytes, a, bandwidth, gamma)
     return total
 
-
-def fixed_reduce_cost_fn(p: int, network: object):
-    """``nbytes -> cost`` closure over :func:`reduce_cost` with the
-    network's ``(alpha, bandwidth)`` frozen — the fixed-algorithm
-    counterpart of :meth:`repro.vmpi.algoselect.CollectivePolicy.\
-reduce_cost_fn`, used by both trainer paths to price gradient-overlap
-    buckets when no selection policy is attached."""
-    alpha, bandwidth = collective_params(network)
-    return lambda nbytes: reduce_cost(p, nbytes, alpha, bandwidth)

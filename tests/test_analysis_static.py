@@ -616,6 +616,54 @@ class TestDocstringCoverage:
         assert [f.rule for f in report.suppressed] == ["DOC001"]
 
 
+# ------------------------------------------------- DOC002 live paths in docs
+class TestDocPaths:
+    """DOC002 over a fixture checkout: a tree and a markdown text."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        for rel in ("src/repro/dist/script.py", "src/repro/dist/simulated.py",
+                    "tests/test_faults.py", "examples/faults/crash.json"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("")
+        return tmp_path
+
+    def test_live_paths_pass(self, root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        text = (
+            "The table lives in `dist/script.py` (`src/repro/dist/`),\n"
+            "pinned by `tests/test_faults.py::TestPolicyGoldens`; see\n"
+            "`dist/{script,gone}.py`, `examples/faults/*.json`, and\n"
+            "`compute/comm` ratios, `src/…` and `Engine.run` are not paths.\n"
+        )
+        assert stale_doc_paths(text, root) == []
+
+    def test_stale_paths_are_located(self, root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        text = (
+            "`dist/master.py` went away;\n"
+            "so did `src/repro/dist/engine.py` and `tests/test_*_gone.py`.\n"
+        )
+        assert stale_doc_paths(text, root) == [
+            (1, "dist/master.py"),
+            (2, "src/repro/dist/engine.py"),
+            (2, "tests/test_*_gone.py"),
+        ]
+
+    def test_rule_reports_into_this_checkouts_documents(self, monkeypatch):
+        """Every lint run reads DESIGN.md and README.md, which are clean."""
+        from repro.analysis import doc_rules
+
+        assert lint("x = 1\n", rule_ids=["DOC002"]).findings == []
+        monkeypatch.setattr(
+            doc_rules, "stale_doc_paths", lambda text, root: [(3, "dist/gone.py")]
+        )
+        found = lint("x = 1\n", rule_ids=["DOC002"]).findings
+        assert [(f.path, f.line) for f in found] == [("DESIGN.md", 3), ("README.md", 3)]
+
+
 # --------------------------------------------- VMPI006 payload size/shape
 class TestPayloadMismatch:
     """Golden fixtures for the interprocedural payload lint."""

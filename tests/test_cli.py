@@ -69,3 +69,32 @@ def test_perf_rejects_a_bad_shard_count_in_one_line(shards, message):
     text = str(exc.value)
     assert text.startswith("repro perf: ") and message in text
     assert "\n" not in text
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('{"events": [{"kind": "crash"}]}', "events[0]: unknown kind 'crash'"),
+    ],
+)
+@pytest.mark.parametrize("cmd", ["trace", "report", "serve", "train"])
+def test_unusable_fault_plan_is_one_line_and_exit_2(tmp_path, capsys, cmd, content, reason):
+    """A missing, non-JSON or unknown-kind plan used to be a traceback."""
+    plan = tmp_path / "plan.json"
+    if content is not None:
+        plan.write_text(content)
+    target = ["64-4-16"] if cmd in ("trace", "report") else []
+    assert main([cmd, *target, "--fault-plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {cmd}: {plan}: ") and reason in err
+    assert err.count("\n") == 1
+
+
+def test_report_rejects_a_bad_shape_in_one_line(capsys):
+    """``repro report 63-4-16`` used to traceback out of ``RunShape``."""
+    assert main(["report", "63-4-16"]) == 2
+    assert capsys.readouterr().err == (
+        "repro report: 63-4-16: ranks (63) not divisible by ranks_per_node (4)\n"
+    )
