@@ -27,8 +27,9 @@ from repro.analysis.rules import Rule, RuleInfo, register
 __all__ = ["TagCollisionRule", "RESERVED_TAG_BASE"]
 
 RESERVED_TAG_BASE = 1_000_000  # repro: noqa(VMPI004) defines the band itself
-"""First tag reserved for internally generated collective tags (must
-match ``repro.vmpi.collectives._COLL_TAG_BASE``)."""
+"""First tag reserved for internally generated collective tags (equals
+``repro.vmpi.collectives._COLL_TAG_BASE``; ``tests/test_analysis_static.py``
+holds the two together)."""
 
 
 def _in_tests_dir(path: str) -> bool:

@@ -375,7 +375,7 @@ class _VectorRun:
     def up_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
         """Ascending-mask reduce sweep over levels ``[lo, hi)``; each rank
         sends to its parent at the level of its lowest set bit, exactly
-        the order ``_reduce_once`` executes."""
+        the order the up steps of ``_tree_steps`` execute."""
         cur, busy = self.cur, self.busy_up
         costs = self.cost_sets[cost_idx]
         inj = self.inj_sets[cost_idx]
@@ -388,7 +388,7 @@ class _VectorRun:
     def down_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
         """Descending-mask bcast sweep over levels ``[lo, hi)`` (indices in
         ascending-level terms; processed reversed): each parent sends to
-        its children in descending-mask order, as ``_bcast_once`` does."""
+        its children in descending-mask order, as ``_tree_steps`` go down."""
         cur, busy = self.cur, self.busy_dn
         costs = self.cost_sets[cost_idx]
         inj = self.inj_sets[cost_idx]

@@ -24,12 +24,14 @@ agree on which algorithm a given ``(p, nbytes)`` runs.
 from __future__ import annotations
 
 from enum import Enum
-from math import ceil, log2
+from math import prod
 
 from repro.vmpi.collcost import (
+    binomial_cost,
     collective_params,
     rabenseifner_allreduce_cost,
     ring_allreduce_cost,
+    segmented_cost,
     torus_allreduce_cost,
     torus_bcast_cost,
 )
@@ -52,13 +54,6 @@ class CollectiveAlgo(str, Enum):
 
     def __str__(self) -> str:  # "ring", not "CollectiveAlgo.RING"
         return self.value
-
-
-def _prod(dims: tuple[int, ...]) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
 
 
 class CollectivePolicy:
@@ -116,100 +111,52 @@ class CollectivePolicy:
         topo = getattr(network, "collective_topology", None)
         if topo is not None:
             grid, base, hop = topo()
-            if size is not None and _prod(grid) != size:
+            if size is not None and prod(grid) != size:
                 grid = None
         return cls(alpha, bandwidth, grid=grid, base_latency=base, hop_latency=hop)
 
     # ------------------------------------------------------------- choices
-    def _torus_grid(self, p: int) -> tuple[int, ...] | None:
-        g = self.grid
-        if g is not None and _prod(g) == p and any(d > 1 for d in g):
-            return g
-        return None
+    def _choose(self, op: str, p: int, nbytes: int) -> tuple[CollectiveAlgo, float]:
+        """Memoized argmin over ``_CANDIDATES[op]``; the first candidate
+        wins ties and names the free cases (one rank or no bytes)."""
+        key = (op, p, nbytes)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if p < 1 or nbytes < 0:
+            raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
+        table = _CANDIDATES[op]
+        if p == 1 or nbytes == 0:
+            choice = (table[0][0], 0.0)
+        else:
+            # gamma (reduction compute) scales wire terms only, never
+            # alpha: at tiny n the reduce tree then ties recursive
+            # doubling exactly and wins as the first candidate — MPI's
+            # small-message preference.
+            gamma = () if op == "bcast" else (self.gamma,)
+            grid = self.grid
+            if grid is None or prod(grid) != p or all(d == 1 for d in grid):
+                grid = None  # torus candidates need a grid covering p ranks
+            costed = []
+            for algo, cost in table:
+                if algo is not CollectiveAlgo.TORUS:
+                    args = (p, nbytes, self.alpha, self.bandwidth)
+                elif grid is not None:
+                    args = (grid, nbytes, self.base_latency, self.hop_latency, self.bandwidth)
+                else:
+                    continue
+                costed.append((algo, cost(*args, *gamma)))
+            choice = min(costed, key=lambda c: c[1])
+        self._memo[key] = choice
+        return choice
 
     def bcast_choice(self, p: int, nbytes: int) -> tuple[CollectiveAlgo, float]:
         """Cheapest broadcast algorithm and its closed-form cost."""
-        key = ("bcast", p, nbytes)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if p < 1 or nbytes < 0:
-            raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-        if p == 1 or nbytes == 0:
-            choice = (CollectiveAlgo.BINOMIAL, 0.0)
-            self._memo[key] = choice
-            return choice
-        depth = ceil(log2(p))
-        wire = nbytes / self.bandwidth
-        candidates = [
-            (CollectiveAlgo.BINOMIAL, depth * (self.alpha + wire)),
-            (
-                CollectiveAlgo.SEGMENTED,
-                2.0 * (depth * self.alpha + wire * (p - 1) / p),
-            ),
-        ]
-        grid = self._torus_grid(p)
-        if grid is not None:
-            candidates.append(
-                (
-                    CollectiveAlgo.TORUS,
-                    torus_bcast_cost(
-                        grid, nbytes, self.base_latency, self.hop_latency, self.bandwidth
-                    ),
-                )
-            )
-        choice = min(candidates, key=lambda c: c[1])
-        self._memo[key] = choice
-        return choice
+        return self._choose("bcast", p, nbytes)
 
     def allreduce_choice(self, p: int, nbytes: int) -> tuple[CollectiveAlgo, float]:
         """Cheapest allreduce algorithm and its closed-form cost."""
-        key = ("allreduce", p, nbytes)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if p < 1 or nbytes < 0:
-            raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-        if p == 1 or nbytes == 0:
-            choice = (CollectiveAlgo.RECURSIVE_DOUBLING, 0.0)
-            self._memo[key] = choice
-            return choice
-        depth = ceil(log2(p))
-        wire = nbytes / self.bandwidth
-        candidates = [
-            (
-                CollectiveAlgo.RECURSIVE_DOUBLING,
-                depth * (self.alpha + wire * (1.0 + self.gamma)),
-            ),
-            (
-                CollectiveAlgo.RING,
-                ring_allreduce_cost(p, nbytes, self.alpha, self.bandwidth, self.gamma),
-            ),
-            (
-                CollectiveAlgo.RABENSEIFNER,
-                rabenseifner_allreduce_cost(
-                    p, nbytes, self.alpha, self.bandwidth, self.gamma
-                ),
-            ),
-        ]
-        grid = self._torus_grid(p)
-        if grid is not None:
-            candidates.append(
-                (
-                    CollectiveAlgo.TORUS,
-                    torus_allreduce_cost(
-                        grid,
-                        nbytes,
-                        self.base_latency,
-                        self.hop_latency,
-                        self.bandwidth,
-                        self.gamma,
-                    ),
-                )
-            )
-        choice = min(candidates, key=lambda c: c[1])
-        self._memo[key] = choice
-        return choice
+        return self._choose("allreduce", p, nbytes)
 
     def reduce_choice(self, p: int, nbytes: int) -> tuple[CollectiveAlgo, float]:
         """Cheapest rooted-reduce algorithm and its closed-form cost.
@@ -218,33 +165,7 @@ class CollectivePolicy:
         (which over-delivers the result to every rank — at large n the
         reduce-scatter-based schedules still beat the tree because the
         tree moves the full vector at every level)."""
-        key = ("reduce", p, nbytes)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if p < 1 or nbytes < 0:
-            raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-        if p == 1 or nbytes == 0:
-            choice = (CollectiveAlgo.BINOMIAL, 0.0)
-            self._memo[key] = choice
-            return choice
-        depth = ceil(log2(p))
-        wire = nbytes / self.bandwidth
-        # gamma (reduction compute) scales wire terms only, never alpha:
-        # at tiny n the tree then ties recursive doubling exactly and
-        # wins as the first candidate — MPI's small-message preference.
-        tree = depth * (self.alpha + wire * (1.0 + self.gamma))
-        segmented = (
-            2.0 * (depth * self.alpha + wire * (p - 1) / p * (1.0 + self.gamma))
-        )
-        choice = (CollectiveAlgo.BINOMIAL, tree)
-        if segmented < choice[1]:
-            choice = (CollectiveAlgo.SEGMENTED, segmented)
-        algo, cost = self.allreduce_choice(p, nbytes)
-        if cost < choice[1]:
-            choice = (algo, cost)
-        self._memo[key] = choice
-        return choice
+        return self._choose("reduce", p, nbytes)
 
     # --------------------------------------------------------------- report
     def crossover_table(
@@ -266,3 +187,28 @@ class CollectivePolicy:
                 }
             )
         return rows
+
+
+_ALLREDUCE = (
+    (CollectiveAlgo.RECURSIVE_DOUBLING, binomial_cost),
+    (CollectiveAlgo.RING, ring_allreduce_cost),
+    (CollectiveAlgo.RABENSEIFNER, rabenseifner_allreduce_cost),
+    (CollectiveAlgo.TORUS, torus_allreduce_cost),
+)
+_CANDIDATES = {
+    "bcast": (
+        (CollectiveAlgo.BINOMIAL, binomial_cost),
+        (CollectiveAlgo.SEGMENTED, segmented_cost),
+        (CollectiveAlgo.TORUS, torus_bcast_cost),
+    ),
+    "allreduce": _ALLREDUCE,
+    "reduce": (
+        (CollectiveAlgo.BINOMIAL, binomial_cost),
+        (CollectiveAlgo.SEGMENTED, segmented_cost),
+        *_ALLREDUCE,
+    ),
+}
+"""Per operation, the candidate algorithms in preference order with their
+closed forms: ``cost(p, nbytes, alpha, bandwidth[, gamma])``, or for the
+torus entries ``cost(grid, nbytes, base_latency, hop_latency,
+bandwidth[, gamma])`` — gamma for the operations that combine."""

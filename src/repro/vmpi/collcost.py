@@ -23,6 +23,8 @@ import math
 from functools import lru_cache
 
 __all__ = [
+    "binomial_cost",
+    "segmented_cost",
     "bcast_cost",
     "reduce_cost",
     "allreduce_cost",
@@ -71,6 +73,37 @@ def collective_params(network: object) -> tuple[float, float]:
     return alpha, float(bw)
 
 
+def _free(p: int, nbytes: int) -> bool:
+    """Validate ``(p, nbytes)``; True when the collective moves nothing."""
+    if p < 1 or nbytes < 0:
+        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
+    return p == 1 or nbytes == 0
+
+
+def binomial_cost(
+    p: int, nbytes: int, alpha: float, bandwidth: float, gamma: float = 0.0
+) -> float:
+    """ceil(log2 P) (alpha + n/bw): the binomial bcast/reduce tree, and
+    equally recursive doubling — the full vector crosses one link per
+    level.  ``gamma`` (the combine surcharge of the reducing variants)
+    scales the wire term only, never alpha."""
+    if _free(p, nbytes):
+        return 0.0
+    return math.ceil(math.log2(p)) * (alpha + nbytes / bandwidth * (1.0 + gamma))
+
+
+def segmented_cost(
+    p: int, nbytes: int, alpha: float, bandwidth: float, gamma: float = 0.0
+) -> float:
+    """2 (ceil(log2 P) alpha + n/bw (P-1)/P): van de Geijn scatter +
+    allgather (for reductions, reduce-scatter + allgather) — what the
+    segment-pipelined tree approaches, asymptotically 2 n/bw."""
+    if _free(p, nbytes):
+        return 0.0
+    depth = math.ceil(math.log2(p))
+    return 2.0 * (depth * alpha + nbytes / bandwidth * (p - 1) / p * (1.0 + gamma))
+
+
 @lru_cache(maxsize=4096)
 def bcast_cost(p: int, nbytes: int, alpha: float, bandwidth: float) -> float:
     """Broadcast: min(binomial tree, scatter+allgather pipeline).
@@ -84,14 +117,10 @@ def bcast_cost(p: int, nbytes: int, alpha: float, bandwidth: float) -> float:
     times (one per modeled collective per iteration); the formula is
     pure, so an ``lru_cache`` is free correctness-wise.
     """
-    if p < 1 or nbytes < 0:
-        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-    if p == 1 or nbytes == 0:
-        return 0.0
-    depth = math.ceil(math.log2(p))
-    binomial = depth * (alpha + nbytes / bandwidth)
-    vdg = 2.0 * (depth * alpha + (nbytes / bandwidth) * (p - 1) / p)
-    return min(binomial, vdg)
+    return min(
+        binomial_cost(p, nbytes, alpha, bandwidth),
+        segmented_cost(p, nbytes, alpha, bandwidth),
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -108,15 +137,9 @@ def reduce_cost(
 
 @lru_cache(maxsize=4096)
 def allreduce_cost(p: int, nbytes: int, alpha: float, bandwidth: float) -> float:
-    """Allreduce: min(recursive doubling, reduce-scatter + allgather)."""
-    if p < 1 or nbytes < 0:
-        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-    if p == 1 or nbytes == 0:
-        return 0.0
-    depth = math.ceil(math.log2(p))
-    rd = depth * (alpha + nbytes / bandwidth)
-    rsag = 2.0 * (depth * alpha + (nbytes / bandwidth) * (p - 1) / p)
-    return min(rd, rsag)
+    """Allreduce: min(recursive doubling, reduce-scatter + allgather) —
+    the two closed forms :func:`bcast_cost` takes the minimum of."""
+    return bcast_cost(p, nbytes, alpha, bandwidth)
 
 
 @lru_cache(maxsize=4096)
@@ -128,9 +151,7 @@ def reduce_scatter_cost(
     (p-1) alpha + n/bw (p-1)/p, plus the combine surcharge on the bytes
     each rank folds (every step reduces one chunk).
     """
-    if p < 1 or nbytes < 0:
-        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-    if p == 1 or nbytes == 0:
+    if _free(p, nbytes):
         return 0.0
     wire = (nbytes / bandwidth) * (p - 1) / p
     return (p - 1) * alpha + wire * (1.0 + gamma)
@@ -139,9 +160,7 @@ def reduce_scatter_cost(
 @lru_cache(maxsize=4096)
 def allgather_cost(p: int, nbytes: int, alpha: float, bandwidth: float) -> float:
     """Ring allgather: p-1 steps of ~n/p bytes, no combine."""
-    if p < 1 or nbytes < 0:
-        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-    if p == 1 or nbytes == 0:
+    if _free(p, nbytes):
         return 0.0
     return (p - 1) * alpha + (nbytes / bandwidth) * (p - 1) / p
 
@@ -170,9 +189,7 @@ def rabenseifner_allreduce_cost(
     ring with logarithmic latency.  Non-power-of-two communicators pay
     an extra fold-in/unfold exchange of the full vector.
     """
-    if p < 1 or nbytes < 0:
-        raise ValueError(f"bad collective args p={p}, nbytes={nbytes}")
-    if p == 1 or nbytes == 0:
+    if _free(p, nbytes):
         return 0.0
     pof2 = 1 << (p.bit_length() - 1)
     wire = nbytes / bandwidth

@@ -14,17 +14,29 @@ the same order (SPMD discipline).  A per-rank collective sequence number
 is baked into the message tags, so a rank that skips a collective causes
 a clean :class:`~repro.sim.engine.DeadlockError` instead of silent payload
 cross-talk.
+
+Each algorithm is stated once, as *schedule data* a pure function builds
+for one rank, and executed by one of two drivers: :func:`_tree_sweep`
+(bcast, the torus line broadcast, reduce, gather) and :func:`_exchange`
+(recursive doubling, ring, Rabenseifner, the torus allreduce).  The
+schedules can be inspected without running anything, which is how the
+tests check them against the executed traffic.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+import math
+import operator
+from functools import lru_cache
+from itertools import accumulate
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
 from repro.sim.engine import Timeout
 from repro.vmpi.comm import RankCtx
-from repro.vmpi.ops import SUM, CONCAT, ReduceOp
+from repro.vmpi.costmodel import PayloadStub
+from repro.vmpi.ops import SUM, ReduceOp
 
 __all__ = [
     "bcast",
@@ -48,9 +60,10 @@ _COLL_TAG_BASE = 1_000_000  # repro: noqa(VMPI004) the band this rule reserves
 _COLL_TAG_STRIDE = 8
 
 
-def _next_tag(ctx: RankCtx) -> int:
+def _next_tag(ctx: RankCtx, blocks: int = 1) -> int:
+    """Reserve ``blocks`` consecutive tag blocks; returns the first tag."""
     seq = ctx._coll_seq
-    ctx._coll_seq = seq + 1
+    ctx._coll_seq = seq + blocks
     return _COLL_TAG_BASE + seq * _COLL_TAG_STRIDE
 
 
@@ -76,8 +89,11 @@ def _coll_end(ctx: RankCtx, stats: Any, op: str, algo: str, t0: float) -> None:
         stats.log.append((op, algo, ctx.comm.engine._now - t0))
 
 
-def _record(ctx: RankCtx, operation: str) -> None:
-    """Ledger hook: note that this rank entered a public collective.
+def _record(ctx: RankCtx, operation: str, root: int = 0) -> None:
+    """Entry hook of every public collective: reject a ``root`` outside
+    the communicator (any value would otherwise run modulo the size, with
+    the wrong rank as root), then note in the ledger that this rank
+    entered ``operation``.
 
     Recording happens *before* any message traffic, so a schedule
     divergence (rank 0 in ``bcast`` while rank 1 is in ``barrier``) is
@@ -88,14 +104,14 @@ def _record(ctx: RankCtx, operation: str) -> None:
     -> ``allreduce``) record on every rank identically, so composition
     stays divergence-free.
     """
+    if not 0 <= root < ctx.size:
+        raise ValueError(f"root {root} out of range for size {ctx.size}")
     checker = ctx.comm.collective_checker
     if checker is not None:
         checker.record(ctx.rank, operation)
 
 
-_LEVELS_CACHE: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-
-
+@lru_cache(maxsize=None)
 def binomial_levels(size: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Edge schedule of the root-0 binomial tree over ``size`` ranks.
 
@@ -103,31 +119,114 @@ def binomial_levels(size: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     order, where at level ``mask`` the edges connect ``leaves[i]``
     (ranks whose lowest set bit is ``mask``) with ``parents[i] =
     leaves[i] - mask``.  Ascending order is exactly the up-sweep of
-    :func:`reduce`'s ``_reduce_once`` (each rank sends at the level of
-    its lowest set bit); the reversed list is the down-sweep of
-    :func:`bcast`'s ``_bcast_once`` (each parent sends to its children
-    in descending-mask order).  The vectorized SPMD executor
+    :func:`reduce` (each rank sends at the level of its lowest set bit);
+    the reversed list is the down-sweep of :func:`bcast` (each parent
+    sends to its children in descending-mask order).  This is the single
+    statement of the tree: :func:`_tree_steps` regroups these edges by
+    rank for the executed collectives, and the vectorized SPMD executor
     (`repro.dist.vectorized`) replays whole levels as array operations
-    against this schedule instead of stepping ``size`` generators.
+    against the same schedule instead of stepping ``size`` generators.
 
     Any ``size >= 1`` works.  Off a power of two the upper levels are
     simply shorter: ``arange(mask, size, 2 * mask)`` stops at the last
-    rank that exists, which is the ``src_rel < size`` test of
-    ``_reduce_once`` and the ``rel + mask < size`` test of
-    ``_bcast_once`` — the remainder branches of the scalar algorithms.
+    rank that exists, so a rank's missing children are just absent from
+    its steps — the remainder case needs no branch of its own.
     """
-    levels = _LEVELS_CACHE.get(size)
-    if levels is None:
-        if size < 1:
-            raise ValueError(f"binomial_levels needs size >= 1, got {size}")
-        levels = []
-        mask = 1
-        while mask < size:
-            leaves = np.arange(mask, size, 2 * mask, dtype=np.int64)
-            levels.append((mask, leaves, leaves - mask))
-            mask <<= 1
-        _LEVELS_CACHE[size] = levels
+    if size < 1:
+        raise ValueError(f"binomial_levels needs size >= 1, got {size}")
+    levels = []
+    mask = 1
+    while mask < size:
+        leaves = np.arange(mask, size, 2 * mask, dtype=np.int64)
+        levels.append((mask, leaves, leaves - mask))
+        mask <<= 1
     return levels
+
+
+_TreeSteps = list[tuple[tuple[int, ...], tuple[int, ...]]]
+_Fold = Callable[[Any, Any], Any]
+
+
+@lru_cache(maxsize=None)
+def _tree_steps(size: int) -> tuple[_TreeSteps, _TreeSteps]:
+    """:func:`binomial_levels` regrouped by rank: ``(down, up)``, each
+    indexed by root-relative rank and holding that rank's ``(receive
+    from, send to)`` relative ranks in execution order.
+
+    Down (broadcast) a rank receives from its parent, then sends to its
+    children in descending-mask order; up (reduce) it receives from its
+    children in ascending-mask order, then sends to its parent.  The root
+    (relative rank 0) has no parent.
+    """
+    parent: list[tuple[int, ...]] = [()] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    for _mask, leaves, parents in binomial_levels(size):
+        for leaf, par in zip(leaves.tolist(), parents.tolist()):
+            parent[leaf] = (par,)
+            children[par].append(leaf)
+    down = [(parent[r], tuple(reversed(children[r]))) for r in range(size)]
+    up = [(tuple(children[r]), parent[r]) for r in range(size)]
+    return down, up
+
+
+def _fast_p2p(ctx: RankCtx) -> bool:
+    """True when the frame-skipping :meth:`RankCtx.post` /
+    :meth:`RankCtx.recv_cmd` helpers are observationally identical to
+    :meth:`RankCtx.send` / :meth:`RankCtx.recv`: no default recv timeout
+    to wrap and no p2p trace spans to record.  The collectives move one
+    message per rank per step, so the saved generator frames are the bulk
+    of their simulation cost.  Each driver asks once per collective."""
+    comm = ctx.comm
+    return comm.recv_timeout is None and not (
+        comm.trace_p2p and comm.tracer is not None
+    )
+
+
+def _tree_sweep(
+    ctx: RankCtx,
+    value: Any,
+    tag: int,
+    line: Sequence[int],
+    pos: int,
+    root_pos: int,
+    fold: _Fold | None = None,
+) -> Generator:
+    """Tree driver: one binomial sweep over ``line`` (absolute ranks by
+    position; this rank sits at ``line[pos]``, the root at
+    ``line[root_pos]``), executing this rank's :func:`_tree_steps`.
+
+    ``fold=None`` sweeps down — every rank returns the root's ``value``.
+    Otherwise the sweep runs up, combining ``fold(acc, incoming)`` at
+    each parent; the root returns the result and every other rank
+    ``None``.  A single-rank line has no steps and sends nothing.
+    """
+    s = len(line)
+    rel = (pos - root_pos) % s
+    recv_from, send_to = _tree_steps(s)[fold is not None][rel]
+    fast = _fast_p2p(ctx)
+    for peer in recv_from:
+        src = line[(peer + root_pos) % s]
+        if fast:
+            msg = yield ctx.recv_cmd(src, tag)
+        else:
+            msg = yield from ctx.recv(source=src, tag=tag)
+        value = msg.payload if fold is None else fold(value, msg.payload)
+    for peer in send_to:
+        dst = line[(peer + root_pos) % s]
+        if fast:
+            inj = ctx.post(dst, value, tag=tag)
+            if inj > 0:
+                yield inj
+        else:
+            yield from ctx.send(dst, value, tag=tag)
+    return None if fold is not None and rel else value
+
+
+def _sweep(ctx: RankCtx, value: Any, root: int, fold: _Fold | None = None) -> Generator:
+    """A :func:`_tree_sweep` over the whole communicator in a tag block
+    of its own (reserved now, when the caller enters the sweep)."""
+    line = range(ctx.size)
+    return _tree_sweep(ctx, value, _next_tag(ctx), line, ctx.rank, root, fold)
 
 
 def bcast(
@@ -155,13 +254,13 @@ def bcast(
     broadcast, without which tree depth would over-charge multi-megabyte
     weight syncs.
     """
-    _record(ctx, "bcast")
+    _record(ctx, "bcast", root)
     stats, t0 = _coll_begin(ctx)
     name = "binomial" if algo is None else str(algo)
     if name == "auto":
         policy = _require_policy(ctx)
         header = ctx.comm.sizer(value) if ctx.rank == root else None
-        header = yield from _bcast_once(ctx, header, root)
+        header = yield from _sweep(ctx, header, root)
         name = str(policy.bcast_choice(ctx.size, header)[0])
     if name == "binomial":
         result = yield from _binomial_bcast(ctx, value, root, segment_bytes)
@@ -189,76 +288,28 @@ def _require_policy(ctx: RankCtx) -> Any:
     return policy
 
 
+def _segment_sizes(total: int, segment_bytes: int) -> list[int]:
+    """Full segments then the remainder, summing to ``total`` exactly."""
+    nseg = -(-total // segment_bytes)
+    return [segment_bytes] * (nseg - 1) + [total - segment_bytes * (nseg - 1)]
+
+
 def _binomial_bcast(
     ctx: RankCtx, value: Any, root: int, segment_bytes: int | None
 ) -> Generator:
     """Binomial-tree broadcast, optionally segment-pipelined."""
-    from repro.vmpi.costmodel import PayloadStub
-
     if segment_bytes is not None and segment_bytes > 0:
         # Every rank must agree on the segment count, which depends on the
         # root's payload size — ship it in a tiny header bcast first.
         nbytes = value.nbytes if isinstance(value, PayloadStub) else None
-        header = yield from _bcast_once(ctx, nbytes, root)
+        header = yield from _sweep(ctx, nbytes, root)
         if header is not None and header > segment_bytes:
-            nseg = -(-header // segment_bytes)
-            sizes = [segment_bytes] * (nseg - 1) + [
-                header - segment_bytes * (nseg - 1)
-            ]
-            for s in sizes:
-                yield from _bcast_once(ctx, PayloadStub(s, "segment"), root)
+            for s in _segment_sizes(header, segment_bytes):
+                yield from _sweep(ctx, PayloadStub(s, "segment"), root)
             return PayloadStub(header, "bcast")
         # small or non-stub payload: fall through to one-shot
-        result = yield from _bcast_once(ctx, value, root)
-        return result
-    result = yield from _bcast_once(ctx, value, root)
+    result = yield from _sweep(ctx, value, root)
     return result
-
-
-def _fast_p2p(ctx: RankCtx) -> bool:
-    """True when the frame-skipping :meth:`RankCtx.post` /
-    :meth:`RankCtx.recv_cmd` helpers are observationally identical to
-    :meth:`RankCtx.send` / :meth:`RankCtx.recv`: no default recv timeout
-    to wrap and no p2p trace spans to record.  The tree collectives move
-    one message per rank per level, so the saved generator frames are
-    the bulk of their simulation cost."""
-    comm = ctx.comm
-    return comm.recv_timeout is None and not (
-        comm.trace_p2p and comm.tracer is not None
-    )
-
-
-def _bcast_once(ctx: RankCtx, value: Any, root: int) -> Generator:
-    """Single-shot binomial-tree broadcast."""
-    size, rank = ctx.size, ctx.rank
-    tag = _next_tag(ctx)
-    if size == 1:
-        return value
-    fast = _fast_p2p(ctx)
-    rel = (rank - root) % size
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            src = (rel - mask + root) % size
-            if fast:
-                msg = yield ctx.recv_cmd(src, tag)
-            else:
-                msg = yield from ctx.recv(source=src, tag=tag)
-            value = msg.payload
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if rel + mask < size:
-            dst = (rel + mask + root) % size
-            if fast:
-                inj = ctx.post(dst, value, tag=tag)
-                if inj > 0:
-                    yield inj
-            else:
-                yield from ctx.send(dst, value, tag=tag)
-        mask >>= 1
-    return value
 
 
 def serial_bcast(ctx: RankCtx, value: Any = None, root: int = 0) -> Generator:
@@ -268,7 +319,7 @@ def serial_bcast(ctx: RankCtx, value: Any = None, root: int = 0) -> Generator:
     state); cost is O(P) at the root instead of O(log P) — the COMM
     ablation benchmark contrasts the two.
     """
-    _record(ctx, "serial_bcast")
+    _record(ctx, "serial_bcast", root)
     stats, t0 = _coll_begin(ctx)
     result = yield from _serial_bcast_impl(ctx, value, root)
     _coll_end(ctx, stats, "bcast", "serial", t0)
@@ -312,10 +363,7 @@ def reduce(
     hold equal-size payloads, so every rank computes the same choice
     with no extra traffic.
     """
-    from repro.vmpi.costmodel import PayloadStub
-
-    _record(ctx, "reduce")
-    stats, t0 = _coll_begin(ctx)
+    _record(ctx, "reduce", root)
     name = "binomial" if algo is None else str(algo)
     if name == "auto":
         policy = _require_policy(ctx)
@@ -326,74 +374,22 @@ def reduce(
         if not segment_bytes:
             segment_bytes = 1 << 20
     if name != "binomial":
-        if name == "ring":
-            result = yield from _ring_allreduce_impl(ctx, value, op)
-        elif name == "rabenseifner":
-            result = yield from _rabenseifner_impl(ctx, value, op)
-        elif name == "recursive_doubling":
-            result = yield from _recursive_doubling_impl(ctx, value, op)
-        elif name == "torus":
-            result = yield from _torus_allreduce_impl(
-                ctx, value, op, _resolve_grid(ctx, None)
-            )
-        else:
-            raise ValueError(f"unknown reduce algo {name!r}")
-        _coll_end(ctx, stats, "reduce", name, t0)
+        result = yield from _allreduce(ctx, value, op, name, stat_op="reduce")
         return result if ctx.rank == root else None
+    stats, t0 = _coll_begin(ctx)
     if (
         segment_bytes is not None
         and segment_bytes > 0
         and isinstance(value, PayloadStub)
         and value.nbytes > segment_bytes
     ):
-        total = value.nbytes
-        nseg = -(-total // segment_bytes)
-        sizes = [segment_bytes] * (nseg - 1) + [total - segment_bytes * (nseg - 1)]
-        out = None
-        for s in sizes:
-            out = yield from _reduce_once(ctx, PayloadStub(s, "segment"), op, root)
-        _coll_end(ctx, stats, "reduce", "binomial", t0)
-        if ctx.rank == root:
-            return PayloadStub(total, "reduced")
-        return None
-    result = yield from _reduce_once(ctx, value, op, root)
+        for s in _segment_sizes(value.nbytes, segment_bytes):
+            yield from _sweep(ctx, PayloadStub(s, "segment"), root, op)
+        result = PayloadStub(value.nbytes, "reduced") if ctx.rank == root else None
+    else:
+        result = yield from _sweep(ctx, value, root, op)
     _coll_end(ctx, stats, "reduce", "binomial", t0)
     return result
-
-
-def _reduce_once(
-    ctx: RankCtx, value: Any, op: ReduceOp = SUM, root: int = 0
-) -> Generator:
-    """Single-shot binomial-tree reduction."""
-    size, rank = ctx.size, ctx.rank
-    tag = _next_tag(ctx)
-    if size == 1:
-        return value
-    fast = _fast_p2p(ctx)
-    rel = (rank - root) % size
-    acc = value
-    mask = 1
-    while mask < size:
-        if rel & mask == 0:
-            src_rel = rel | mask
-            if src_rel < size:
-                src = (src_rel + root) % size
-                if fast:
-                    msg = yield ctx.recv_cmd(src, tag)
-                else:
-                    msg = yield from ctx.recv(source=src, tag=tag)
-                acc = op(acc, msg.payload)
-        else:
-            dst = ((rel & ~mask) + root) % size
-            if fast:
-                inj = ctx.post(dst, acc, tag=tag)
-                if inj > 0:
-                    yield inj
-                return None
-            yield from ctx.send(dst, acc, tag=tag)
-            return None
-        mask <<= 1
-    return acc if rank == root else None
 
 
 def ordered_reduce(
@@ -403,7 +399,7 @@ def ordered_reduce(
     order, so float sums are bitwise identical to a serial loop over
     ranks.  Used by parity experiments; costs O(P) messages at the root.
     """
-    _record(ctx, "ordered_reduce")
+    _record(ctx, "ordered_reduce", root)
     contributions = yield from gather(ctx, value, root=root)
     if ctx.rank != root:
         return None
@@ -424,81 +420,90 @@ def allreduce(ctx: RankCtx, value: Any, op: ReduceOp = SUM, algo: Any = None) ->
     equal-size on every rank, so the choice needs no extra traffic).
     """
     _record(ctx, "allreduce")
-    stats, t0 = _coll_begin(ctx)
     name = "recursive_doubling" if algo is None else str(algo)
     if name == "auto":
         policy = _require_policy(ctx)
         name = str(policy.allreduce_choice(ctx.size, ctx.comm.sizer(value))[0])
-    if name == "recursive_doubling":
-        result = yield from _recursive_doubling_impl(ctx, value, op)
-    elif name == "ring":
-        result = yield from _ring_allreduce_impl(ctx, value, op)
-    elif name == "rabenseifner":
-        result = yield from _rabenseifner_impl(ctx, value, op)
-    elif name == "torus":
-        result = yield from _torus_allreduce_impl(ctx, value, op, _resolve_grid(ctx, None))
-    else:
-        raise ValueError(f"unknown allreduce algo {name!r}")
-    _coll_end(ctx, stats, "allreduce", name, t0)
+    result = yield from _allreduce(ctx, value, op, name)
     return result
 
 
-def _recursive_doubling_impl(ctx: RankCtx, value: Any, op: ReduceOp) -> Generator:
-    """Recursive-doubling allreduce (MPICH fold-in for non-power-of-2)."""
-    size, rank = ctx.size, ctx.rank
-    tag = _next_tag(ctx)
-    if size == 1:
-        return value
-    pof2 = 1 << (size.bit_length() - 1)
-    if pof2 == size:
-        rem = 0
-    else:
-        rem = size - pof2
-    acc = value
-    # Fold the surplus ranks into the power-of-two core.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            yield from ctx.send(rank + 1, acc, tag=tag)
-            newrank = -1
-        else:
-            msg = yield from ctx.recv(source=rank - 1, tag=tag)
-            acc = op(msg.payload, acc)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-    # Recursive doubling among the core.
-    if newrank != -1:
-        mask = 1
-        while mask < pof2:
-            partner_new = newrank ^ mask
-            partner = (
-                partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            )
-            msg = yield from ctx.sendrecv(
-                partner, acc, source=partner, tag=tag + 1
-            )
-            acc = op(acc, msg.payload)
-            mask <<= 1
-    # Unfold: push results back to the surplus ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            yield from ctx.send(rank - 1, acc, tag=tag + 2)
-        else:
-            msg = yield from ctx.recv(source=rank + 1, tag=tag + 2)
-            acc = msg.payload
-    return acc
-
-
 # --------------------------------------------------------------------------
-# Chunked-payload helpers shared by the ring / reduce-scatter schedules.
+# Exchange schedules.
 #
-# Ring schedules move *pieces* of the vector, so they need to split a
-# payload into ``parts`` contiguous chunks and reassemble it.  Two payload
-# families are supported: PayloadStub (byte-count bookkeeping; chunk byte
-# sizes sum to the original exactly) and numpy arrays (real data; chunks
-# are views of the flattened buffer).  Anything else raises TypeError —
-# a scalar cannot be meaningfully scattered.
+# A schedule is the list of steps ONE rank executes, built by a pure
+# function of (rank, size, vector length):
+#
+#     (tag offset, dst, send part, src, recv part, mode)
+#
+# ``dst``/``src`` are absolute ranks, or None when the step only receives
+# / only sends; with both set the send and the receive overlap
+# (:meth:`RankCtx.sendrecv` semantics).  A part is a ``(lo, hi)`` range of
+# the flattened vector, or None for the whole payload.  ``mode`` says what
+# the received part does to the rank's own copy of that range.
 # --------------------------------------------------------------------------
+
+
+def _copy(op: ReduceOp, mine: Any, incoming: Any) -> Any:
+    return incoming
+
+
+def _fold(op: ReduceOp, mine: Any, incoming: Any) -> Any:
+    return op(mine, incoming)
+
+
+def _fold_incoming_first(op: ReduceOp, mine: Any, incoming: Any) -> Any:
+    return op(incoming, mine)
+
+
+_Part = tuple[int, int] | None
+_Mode = Callable[[ReduceOp, Any, Any], Any]
+_Step = tuple[int, int | None, _Part, int | None, _Part, _Mode]
+
+
+# A schedule that moves the vector in *pieces* works on a private buffer:
+# a PayloadStub (byte-count bookkeeping; the part sizes a rank sends sum
+# to the original exactly) or a flattened copy of a numpy array (real
+# data).  Anything else raises TypeError — a scalar cannot be
+# meaningfully scattered.  Whole-payload schedules (every part None) use
+# the value itself, whatever the operator accepts.
+
+
+def _flat(value: Any, op: ReduceOp) -> tuple[Any, int]:
+    """``(buffer, length)`` for a schedule that moves ``value`` in parts."""
+    if isinstance(value, PayloadStub):
+        return PayloadStub(value.nbytes, f"{op.name}-reduced"), value.nbytes
+    if isinstance(value, np.ndarray):
+        return value.flatten(), value.size
+    raise TypeError(
+        f"ring/rabenseifner/torus schedules need a PayloadStub or numpy "
+        f"array payload, got {type(value).__name__}"
+    )
+
+
+def _take(buf: Any, part: _Part) -> Any:
+    """The payload of a send step.  Array parts are copies, so a sender
+    folding into the range later cannot disturb a message in flight."""
+    if part is None:
+        return buf
+    lo, hi = part
+    if isinstance(buf, PayloadStub):
+        return PayloadStub(hi - lo, buf.kind)
+    return buf[lo:hi].copy()
+
+
+def _put(buf: Any, part: _Part, incoming: Any, mode: _Mode, op: ReduceOp) -> Any:
+    """Apply a received part to the buffer; returns the buffer."""
+    if part is None:
+        return mode(op, buf, incoming)
+    lo, hi = part
+    if not isinstance(buf, PayloadStub):
+        buf[lo:hi] = mode(op, buf[lo:hi], incoming)
+    elif incoming.nbytes != hi - lo:
+        raise ValueError(
+            f"slice mismatch: got {incoming.nbytes} bytes for range [{lo}, {hi})"
+        )
+    return buf
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -508,119 +513,228 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
     return [base + 1] * extra + [base] * (parts - extra)
 
 
-def _split_chunks(value: Any, parts: int) -> tuple[list[Any], Any]:
-    """Split ``value`` into ``parts`` chunks; returns (chunks, meta) where
-    ``meta`` carries what :func:`_join_chunks` needs to reassemble."""
-    from repro.vmpi.costmodel import PayloadStub
-
-    if isinstance(value, PayloadStub):
-        sizes = _chunk_sizes(value.nbytes, parts)
-        return [PayloadStub(s, "chunk") for s in sizes], ("stub", value.nbytes)
-    if isinstance(value, np.ndarray):
-        flat = np.ascontiguousarray(value).reshape(-1)
-        return np.array_split(flat, parts), ("array", value.shape)
-    raise TypeError(
-        f"ring schedules need a PayloadStub or numpy array payload, "
-        f"got {type(value).__name__}"
-    )
+def _chunk_parts(total: int, parts: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` ranges of :func:`_chunk_sizes`, tiling
+    ``[0, total)`` — the bit-exact contract the allgather half of ring
+    allreduce and the bucketed-gradient accounting both rely on."""
+    bounds = [0, *accumulate(_chunk_sizes(total, parts))]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _join_chunks(chunks: list[Any], meta: Any, op: ReduceOp) -> Any:
-    from repro.vmpi.costmodel import PayloadStub
-
-    kind, detail = meta
-    if kind == "stub":
-        # integer byte counts: addition is exact, order cannot matter
-        total = sum(c.nbytes for c in chunks)  # repro: noqa(DET002)
-        assert total == detail, f"chunk bytes {total} != payload bytes {detail}"
-        return PayloadStub(total, f"{op.name}-reduced")
-    return np.concatenate(chunks).reshape(detail)
-
-
-def _ring_exchange(
-    ctx: RankCtx, dst: int, src: int, payload: Any, tag: int, fast: bool
-) -> Generator:
-    """One ring step: send ``payload`` to ``dst`` while receiving from
-    ``src`` — :meth:`RankCtx.sendrecv` semantics, with the frame-skipping
-    post/recv_cmd fast path when it is observationally identical."""
-    if not fast:
-        msg = yield from ctx.sendrecv(dst, payload, source=src, tag=tag)
-        return msg
-    comm = ctx.comm
-    t0 = comm.engine._now
-    inj = ctx.post(dst, payload, tag=tag)
-    msg = yield ctx.recv_cmd(src, tag)
-    elapsed = comm.engine._now - t0
-    if elapsed < inj:
-        yield inj - elapsed + 0.0
-    return msg
-
-
-def _ring_reduce_scatter_steps(
-    ctx: RankCtx,
-    chunks: list[Any],
-    op: ReduceOp,
-    line: list[int],
-    pos: int,
-    tag: int,
-    fast: bool,
-) -> Generator:
-    """The s-1 reduce-scatter steps of the ring schedule over ``line``
-    (absolute ranks in ring order; this rank sits at ``line[pos]``).
-    Afterwards ``chunks[pos]`` holds the fully reduced chunk ``pos``."""
-    s = len(line)
-    right, left = line[(pos + 1) % s], line[(pos - 1) % s]
-    for step in range(s - 1):
-        send_idx = (pos - 1 - step) % s
-        recv_idx = (pos - 2 - step) % s
-        msg = yield from _ring_exchange(ctx, right, left, chunks[send_idx], tag, fast)
-        chunks[recv_idx] = op(chunks[recv_idx], msg.payload)
-
-
-def _ring_allreduce_impl(
-    ctx: RankCtx,
-    value: Any,
-    op: ReduceOp,
-    line: list[int] | None = None,
-    pos: int | None = None,
-) -> Generator:
-    """Ring allreduce: reduce-scatter then allgather around the ring.
+def _ring_steps(
+    line: Sequence[int], pos: int, total: int, allgather: bool = True
+) -> list[_Step]:
+    """Ring reduce-scatter, then (``allgather``) ring allgather, over
+    ``line`` (absolute ranks in ring order; this rank sits at
+    ``line[pos]``).
 
     2(s-1) steps each moving ~n/s bytes — bandwidth-optimal, with cost
     linear in ring length (the latency the selection policy trades
-    against the logarithmic trees).  ``line``/``pos`` restrict the
-    schedule to a sub-ring (the torus per-dimension stages); by default
-    the ring is the whole communicator in rank order.
+    against the logarithmic trees).  After the first s-1 steps the rank
+    holds the fully reduced chunk ``pos``.
     """
-    if line is None:
-        line = list(range(ctx.size))
-        pos = ctx.rank
-    assert pos is not None
     s = len(line)
-    tag = _next_tag(ctx)
-    if s == 1:
-        return value
-    chunks, meta = _split_chunks(value, s)
-    fast = _fast_p2p(ctx)
-    yield from _ring_reduce_scatter_steps(ctx, chunks, op, line, pos, tag, fast)
     right, left = line[(pos + 1) % s], line[(pos - 1) % s]
-    for step in range(s - 1):
-        send_idx = (pos - step) % s
-        recv_idx = (pos - 1 - step) % s
-        msg = yield from _ring_exchange(
-            ctx, right, left, chunks[send_idx], tag + 1, fast
-        )
-        chunks[recv_idx] = msg.payload
-    return _join_chunks(chunks, meta, op)
+    part = _chunk_parts(total, s)
+    steps: list[_Step] = [
+        (0, right, part[(pos - 1 - k) % s], left, part[(pos - 2 - k) % s], _fold)
+        for k in range(s - 1)
+    ]
+    if allgather:
+        steps += [
+            (1, right, part[(pos - k) % s], left, part[(pos - 1 - k) % s], _copy)
+            for k in range(s - 1)
+        ]
+    return steps
+
+
+def _torus_steps(rank: int, grid: tuple[int, ...], total: int) -> list[_Step]:
+    """Per-dimension ring allreduce: after stage d every rank holds the
+    reduction over all ranks agreeing with it on dimensions > d, so after
+    the last stage every rank holds the global reduction.
+
+    Every rank sits on exactly one line of every dimension, so all ranks
+    run the same stages; stage k uses the k-th of the tag blocks the
+    caller reserves (one per dimension longer than 1).
+    """
+    steps: list[_Step] = []
+    block = 0
+    for d in range(len(grid)):
+        if grid[d] > 1:
+            line, pos, _stride = _grid_line(rank, d, grid)
+            steps += [
+                (block + offset, *rest)
+                for offset, *rest in _ring_steps(line, pos, total)
+            ]
+            block += _COLL_TAG_STRIDE
+    return steps
+
+
+def _with_fold_in(
+    rank: int,
+    size: int,
+    whole: _Part,
+    core: Callable[[int, int, Callable[[int], int]], list[_Step]],
+    unfold_offset: int,
+    fold_in_mode: _Mode,
+) -> list[_Step]:
+    """MPICH's wrapper for non-power-of-two communicators, shared by
+    recursive doubling and Rabenseifner.
+
+    The first ``2 * rem`` ranks pair up: each even rank hands its whole
+    vector to its odd neighbour (tag offset 0) and sits out; the odd ones
+    and everyone above form a power-of-two core numbered by ``newrank``,
+    whose steps are ``core(newrank, pof2, real_rank)``; afterwards each
+    odd rank pushes the result back (``unfold_offset``).  On a power of
+    two ``rem`` is 0 and only the core remains.
+    """
+    pof2 = 1 << (size.bit_length() - 1)
+    rem = size - pof2
+
+    def real_rank(newrank: int) -> int:
+        return newrank * 2 + 1 if newrank < rem else newrank + rem
+
+    if rank >= 2 * rem:
+        return core(rank - rem, pof2, real_rank)
+    if rank % 2 == 0:
+        return [
+            (0, rank + 1, whole, None, None, _copy),
+            (unfold_offset, None, None, rank + 1, whole, _copy),
+        ]
+    return [
+        (0, None, None, rank - 1, whole, fold_in_mode),
+        *core(rank // 2, pof2, real_rank),
+        (unfold_offset, rank - 1, whole, None, None, _copy),
+    ]
+
+
+def _recursive_doubling_steps(rank: int, size: int) -> list[_Step]:
+    """Recursive-doubling allreduce: log2(pof2) whole-payload exchanges
+    with the partner across each bit.  The fold-in combines the lower
+    rank's value first, keeping rank order for non-commutative
+    operators."""
+
+    def core(newrank: int, pof2: int, real_rank: Callable[[int], int]) -> list[_Step]:
+        levels = range(pof2.bit_length() - 1)
+        partners = [real_rank(newrank ^ (1 << k)) for k in levels]
+        return [(1, partner, None, partner, None, _fold) for partner in partners]
+
+    return _with_fold_in(rank, size, None, core, 2, _fold_incoming_first)
+
+
+def _rabenseifner_steps(rank: int, size: int, total: int) -> list[_Step]:
+    """Rabenseifner allreduce: recursive-halving reduce-scatter then
+    recursive-doubling allgather.
+
+    Ranks track the (lo, hi) slice of the vector they currently own;
+    partners at each level hold identical ranges (they differ only in the
+    current mask bit), so both compute the same split point and the
+    exchanged halves tile the vector exactly.
+    """
+
+    def core(newrank: int, pof2: int, real_rank: Callable[[int], int]) -> list[_Step]:
+        steps: list[_Step] = []
+        halvings = []
+        lo, hi = 0, total
+        mask = 1
+        while mask < pof2:
+            partner = real_rank(newrank ^ mask)
+            mid = lo + (hi - lo) // 2
+            keep, give = ((mid, hi), (lo, mid)) if newrank & mask else ((lo, mid), (mid, hi))
+            steps.append((1, partner, give, partner, keep, _fold))
+            halvings.append((partner, (lo, hi), give))
+            lo, hi = keep
+            mask <<= 1
+        # Allgather reverses the halving order: the partner at each level
+        # owns the sibling half — the range given away on the way down,
+        # whole again by now — and the exchange restores the parent range.
+        for partner, parent, sibling in reversed(halvings):
+            steps.append((2, partner, (lo, hi), partner, sibling, _copy))
+            lo, hi = parent
+        return steps
+
+    return _with_fold_in(rank, size, (0, total), core, 3, _fold)
+
+
+def _exchange(
+    ctx: RankCtx, steps: list[_Step], buf: Any, op: ReduceOp, tag: int
+) -> Generator:
+    """Exchange driver: execute this rank's ``steps`` against ``buf``
+    with tags ``tag + offset``; returns the final buffer.
+
+    A step's send and receive overlap: the send is injected, the receive
+    waited for, and the step then lasts at least the injection time — as
+    on real hardware with independent DMA.
+    """
+    fast = _fast_p2p(ctx)
+    engine = ctx.comm.engine
+    for offset, dst, send_part, src, recv_part, mode in steps:
+        t = tag + offset
+        if fast:
+            t0 = engine._now
+            inj = 0.0 if dst is None else ctx.post(dst, _take(buf, send_part), tag=t)
+            if src is not None:
+                msg = yield ctx.recv_cmd(src, t)
+            elapsed = engine._now - t0
+            if elapsed < inj:
+                yield inj - elapsed + 0.0
+        elif src is None:
+            yield from ctx.send(dst, _take(buf, send_part), tag=t)
+        elif dst is None:
+            msg = yield from ctx.recv(source=src, tag=t)
+        else:
+            msg = yield from ctx.sendrecv(dst, _take(buf, send_part), source=src, tag=t)
+        if src is not None:
+            buf = _put(buf, recv_part, msg.payload, mode, op)
+    return buf
+
+
+def _allreduce(
+    ctx: RankCtx,
+    value: Any,
+    op: ReduceOp,
+    name: str,
+    grid: tuple[int, ...] | None = None,
+    stat_op: str = "allreduce",
+) -> Generator:
+    """The one allreduce dispatcher: build this rank's schedule for
+    algorithm ``name`` and run it; every rank returns the full reduction.
+
+    Serves :func:`allreduce`, the named wrappers and :func:`reduce`'s
+    non-binomial algorithms (``stat_op`` is the operation the duration
+    is logged under).
+    """
+    stats, t0 = _coll_begin(ctx)
+    size, rank = ctx.size, ctx.rank
+    blocks = 1
+    if name == "torus":
+        grid = _resolve_grid(ctx, grid)
+        blocks = sum(d > 1 for d in grid)
+    elif name not in ("recursive_doubling", "ring", "rabenseifner"):
+        raise ValueError(f"unknown {stat_op} algo {name!r}")
+    tag = _next_tag(ctx, blocks)
+    if size > 1 and name == "recursive_doubling":
+        steps = _recursive_doubling_steps(rank, size)
+        value = yield from _exchange(ctx, steps, value, op, tag)
+    elif size > 1:
+        buf, total = _flat(value, op)
+        if name == "ring":
+            steps = _ring_steps(range(size), rank, total)
+        elif name == "rabenseifner":
+            steps = _rabenseifner_steps(rank, size, total)
+        else:
+            steps = _torus_steps(rank, grid, total)
+        buf = yield from _exchange(ctx, steps, buf, op, tag)
+        value = buf.reshape(value.shape) if isinstance(buf, np.ndarray) else buf
+    _coll_end(ctx, stats, stat_op, name, t0)
+    return value
 
 
 def ring_allreduce(ctx: RankCtx, value: Any, op: ReduceOp = SUM) -> Generator:
-    """Ring allreduce over the whole communicator (see
-    :func:`_ring_allreduce_impl`); every rank returns the full reduction."""
+    """Ring allreduce over the whole communicator in rank order (see
+    :func:`_ring_steps`); every rank returns the full reduction."""
     _record(ctx, "ring_allreduce")
-    stats, t0 = _coll_begin(ctx)
-    result = yield from _ring_allreduce_impl(ctx, value, op)
-    _coll_end(ctx, stats, "allreduce", "ring", t0)
+    result = yield from _allreduce(ctx, value, op, "ring")
     return result
 
 
@@ -628,160 +742,26 @@ def reduce_scatter(ctx: RankCtx, value: Any, op: ReduceOp = SUM) -> Generator:
     """Ring reduce-scatter: rank r returns the fully reduced chunk r.
 
     Chunk boundaries follow :func:`_chunk_sizes` — sizes are bit-exact
-    (they sum to the payload's total), the contract the allgather half of
-    ring allreduce and the bucketed-gradient accounting both rely on.
+    (they sum to the payload's total).
     """
     _record(ctx, "reduce_scatter")
     stats, t0 = _coll_begin(ctx)
     size, rank = ctx.size, ctx.rank
     tag = _next_tag(ctx)
-    if size == 1:
-        _coll_end(ctx, stats, "reduce_scatter", "ring", t0)
-        return value
-    chunks, _meta = _split_chunks(value, size)
-    fast = _fast_p2p(ctx)
-    line = list(range(size))
-    yield from _ring_reduce_scatter_steps(ctx, chunks, op, line, rank, tag, fast)
+    if size > 1:
+        buf, total = _flat(value, op)
+        steps = _ring_steps(range(size), rank, total, allgather=False)
+        buf = yield from _exchange(ctx, steps, buf, op, tag)
+        value = _take(buf, _chunk_parts(total, size)[rank])
     _coll_end(ctx, stats, "reduce_scatter", "ring", t0)
-    return chunks[rank]
-
-
-def _rabenseifner_impl(ctx: RankCtx, value: Any, op: ReduceOp) -> Generator:
-    """Rabenseifner allreduce: recursive-halving reduce-scatter then
-    recursive-doubling allgather (MPICH fold-in for non-power-of-2).
-
-    Ranks track the (lo, hi) slice of the vector they currently own;
-    partners at each level hold identical ranges (they differ only in the
-    current mask bit), so both compute the same split point and the
-    exchanged halves tile the vector exactly.
-    """
-    from repro.vmpi.costmodel import PayloadStub
-
-    size, rank = ctx.size, ctx.rank
-    tag = _next_tag(ctx)
-    if size == 1:
-        return value
-    if isinstance(value, PayloadStub):
-        total = value.nbytes
-        stub_kind = f"{op.name}-reduced"
-        buf = None
-
-        def whole() -> Any:
-            return PayloadStub(total, stub_kind)
-
-        def extract(lo: int, hi: int) -> Any:
-            return PayloadStub(hi - lo, "chunk")
-
-        def fold(lo: int, hi: int, payload: Any) -> None:
-            got = payload.nbytes
-            if got != hi - lo:
-                raise ValueError(
-                    f"rabenseifner slice mismatch: got {got} bytes for "
-                    f"range [{lo}, {hi})"
-                )
-
-        def emplace(lo: int, hi: int, payload: Any) -> None:
-            fold(lo, hi, payload)
-
-        def recv_len(payload: Any) -> int:
-            return payload.nbytes
-
-    elif isinstance(value, np.ndarray):
-        buf = np.ascontiguousarray(value).reshape(-1).copy()
-        total = buf.size
-
-        def whole() -> Any:
-            return buf.copy()
-
-        def extract(lo: int, hi: int) -> Any:
-            return buf[lo:hi].copy()
-
-        def fold(lo: int, hi: int, payload: Any) -> None:
-            buf[lo:hi] = op(buf[lo:hi], payload)
-
-        def emplace(lo: int, hi: int, payload: Any) -> None:
-            buf[lo:hi] = payload
-
-        def recv_len(payload: Any) -> int:
-            return int(payload.size)
-
-    else:
-        raise TypeError(
-            f"rabenseifner needs a PayloadStub or numpy array payload, "
-            f"got {type(value).__name__}"
-        )
-
-    pof2 = 1 << (size.bit_length() - 1)
-    rem = size - pof2
-    # Fold the surplus ranks into the power-of-two core.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            yield from ctx.send(rank + 1, whole(), tag=tag)
-            newrank = -1
-        else:
-            msg = yield from ctx.recv(source=rank - 1, tag=tag)
-            fold(0, total, msg.payload)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-
-    def real_rank(nr: int) -> int:
-        return nr * 2 + 1 if nr < rem else nr + rem
-
-    if newrank != -1:
-        lo, hi = 0, total
-        mask = 1
-        while mask < pof2:
-            partner = real_rank(newrank ^ mask)
-            mid = lo + (hi - lo) // 2
-            if newrank & mask:
-                keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
-            else:
-                keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
-            msg = yield from ctx.sendrecv(
-                partner, extract(send_lo, send_hi), source=partner, tag=tag + 1
-            )
-            fold(keep_lo, keep_hi, msg.payload)
-            lo, hi = keep_lo, keep_hi
-            mask <<= 1
-        # Recursive-doubling allgather, reversing the halving order: the
-        # partner at each level owns the sibling half, adjacent to ours.
-        mask = pof2 >> 1
-        while mask > 0:
-            partner = real_rank(newrank ^ mask)
-            msg = yield from ctx.sendrecv(
-                partner, extract(lo, hi), source=partner, tag=tag + 2
-            )
-            got = recv_len(msg.payload)
-            if newrank & mask:
-                emplace(lo - got, lo, msg.payload)
-                lo -= got
-            else:
-                emplace(hi, hi + got, msg.payload)
-                hi += got
-            mask >>= 1
-        assert (lo, hi) == (0, total)
-    # Unfold: push results back to the surplus ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            yield from ctx.send(rank - 1, whole(), tag=tag + 3)
-        else:
-            msg = yield from ctx.recv(source=rank + 1, tag=tag + 3)
-            if buf is None:
-                return msg.payload
-            return np.asarray(msg.payload).reshape(np.shape(value))
-    if buf is None:
-        return whole()
-    return buf.reshape(np.shape(value))
+    return value
 
 
 def rabenseifner_allreduce(ctx: RankCtx, value: Any, op: ReduceOp = SUM) -> Generator:
-    """Rabenseifner allreduce (see :func:`_rabenseifner_impl`); every
+    """Rabenseifner allreduce (see :func:`_rabenseifner_steps`); every
     rank returns the full reduction."""
     _record(ctx, "rabenseifner_allreduce")
-    stats, t0 = _coll_begin(ctx)
-    result = yield from _rabenseifner_impl(ctx, value, op)
-    _coll_end(ctx, stats, "allreduce", "rabenseifner", t0)
+    result = yield from _allreduce(ctx, value, op, "rabenseifner")
     return result
 
 
@@ -795,13 +775,6 @@ def rabenseifner_allreduce(ctx: RankCtx, value: Any, op: ReduceOp = SUM) -> Gene
 # in the physical torus ring, so each stage pays single-ring latencies —
 # the structural advantage the closed-form `torus_*_cost` formulas price.
 # --------------------------------------------------------------------------
-
-
-def _grid_prod(grid: tuple[int, ...]) -> int:
-    n = 1
-    for d in grid:
-        n *= d
-    return n
 
 
 def _resolve_grid(ctx: RankCtx, grid: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -823,73 +796,24 @@ def _resolve_grid(ctx: RankCtx, grid: tuple[int, ...] | None) -> tuple[int, ...]
     grid = tuple(int(d) for d in grid)
     if any(d < 1 for d in grid):
         raise ValueError(f"all grid dims must be >= 1: {grid}")
-    if _grid_prod(grid) != ctx.size:
+    if math.prod(grid) != ctx.size:
         raise ValueError(
-            f"grid {grid} covers {_grid_prod(grid)} ranks, "
+            f"grid {grid} covers {math.prod(grid)} ranks, "
             f"communicator has {ctx.size}"
         )
     return grid
 
 
-def _grid_coords(rank: int, grid: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    rem = rank
-    for d in reversed(grid):
-        out.append(rem % d)
-        rem //= d
-    return tuple(reversed(out))
-
-
-def _grid_line(
-    coords: tuple[int, ...], dim: int, grid: tuple[int, ...]
-) -> list[int]:
-    """Absolute ranks along grid dimension ``dim`` through ``coords``,
-    indexed by position on that dimension."""
-    line = []
-    for i in range(grid[dim]):
-        c = coords[:dim] + (i,) + coords[dim + 1 :]
-        idx = 0
-        for x, d in zip(c, grid):
-            idx = idx * d + x
-        line.append(idx)
-    return line
-
-
-def _line_bcast(
-    ctx: RankCtx,
-    value: Any,
-    line: list[int],
-    pos: int,
-    root_pos: int,
-    tag: int,
-) -> Generator:
-    """Binomial-tree broadcast along one grid line."""
-    s = len(line)
-    fast = _fast_p2p(ctx)
-    rel = (pos - root_pos) % s
-    mask = 1
-    while mask < s:
-        if rel & mask:
-            src = line[(rel - mask + root_pos) % s]
-            if fast:
-                msg = yield ctx.recv_cmd(src, tag)
-            else:
-                msg = yield from ctx.recv(source=src, tag=tag)
-            value = msg.payload
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if rel + mask < s:
-            dst = line[(rel + mask + root_pos) % s]
-            if fast:
-                inj = ctx.post(dst, value, tag=tag)
-                if inj > 0:
-                    yield inj
-            else:
-                yield from ctx.send(dst, value, tag=tag)
-        mask >>= 1
-    return value
+def _grid_line(rank: int, dim: int, grid: tuple[int, ...]) -> tuple[range, int, int]:
+    """``(line, pos, stride)``: the absolute ranks along grid dimension
+    ``dim`` through ``rank``, indexed by position on that dimension; this
+    rank's position; and the dimension's stride.  The grid is row-major,
+    so a line is an arithmetic progression and ``rank % stride`` encodes
+    the coordinates on every dimension > ``dim``."""
+    stride = math.prod(grid[dim + 1 :])
+    pos = rank // stride % grid[dim]
+    first = rank - pos * stride
+    return range(first, first + grid[dim] * stride, stride), pos, stride
 
 
 def _torus_bcast_impl(
@@ -905,22 +829,15 @@ def _torus_bcast_impl(
     that additionally matches on dim d), which acts as that line's root.
     After the last stage every rank holds the value.
     """
-    ndim = len(grid)
-    coords = _grid_coords(ctx.rank, grid)
-    root_coords = _grid_coords(root, grid)
     val = value if ctx.rank == root else None
-    for d in range(ndim):
+    for d in range(len(grid)):
         # One tag block per stage on EVERY rank — non-participants must
         # stay tag-aligned with participants for later collectives.
         tag = _next_tag(ctx)
-        if grid[d] == 1:
-            continue
-        if any(coords[j] != root_coords[j] for j in range(d + 1, ndim)):
-            continue
-        line = _grid_line(coords, d, grid)
-        val = yield from _line_bcast(
-            ctx, val, line, coords[d], root_coords[d], tag
-        )
+        line, pos, stride = _grid_line(ctx.rank, d, grid)
+        if grid[d] > 1 and ctx.rank % stride == root % stride:
+            root_pos = root // stride % grid[d]
+            val = yield from _tree_sweep(ctx, val, tag, line, pos, root_pos)
     return val
 
 
@@ -933,33 +850,11 @@ def torus_bcast(
     """Torus-dimension-pipelined broadcast; returns the root's value on
     every rank.  ``grid`` defaults to the communicator's partition grid
     (see :func:`_resolve_grid`)."""
-    _record(ctx, "torus_bcast")
+    _record(ctx, "torus_bcast", root)
     stats, t0 = _coll_begin(ctx)
     result = yield from _torus_bcast_impl(ctx, value, root, _resolve_grid(ctx, grid))
     _coll_end(ctx, stats, "bcast", "torus", t0)
     return result
-
-
-def _torus_allreduce_impl(
-    ctx: RankCtx, value: Any, op: ReduceOp, grid: tuple[int, ...]
-) -> Generator:
-    """Per-dimension ring allreduce: after stage d every rank holds the
-    reduction over all ranks agreeing with it on dimensions > d, so after
-    the last stage every rank holds the global reduction."""
-    ndim = len(grid)
-    coords = _grid_coords(ctx.rank, grid)
-    acc = value
-    for d in range(ndim):
-        if grid[d] == 1:
-            continue
-        # Every rank participates in every stage (each sits on exactly
-        # one dim-d line), and the ring impl allocates its own tag block,
-        # so tag sequences stay aligned without a stage-level tag here.
-        line = _grid_line(coords, d, grid)
-        acc = yield from _ring_allreduce_impl(
-            ctx, acc, op, line=line, pos=coords[d]
-        )
-    return acc
 
 
 def torus_allreduce(
@@ -971,43 +866,21 @@ def torus_allreduce(
     """Torus-dimension-pipelined allreduce; every rank returns the full
     reduction.  ``grid`` defaults to the communicator's partition grid."""
     _record(ctx, "torus_allreduce")
-    stats, t0 = _coll_begin(ctx)
-    result = yield from _torus_allreduce_impl(ctx, value, op, _resolve_grid(ctx, grid))
-    _coll_end(ctx, stats, "allreduce", "torus", t0)
+    result = yield from _allreduce(ctx, value, op, "torus", grid)
     return result
 
 
 def gather(ctx: RankCtx, value: Any, root: int = 0) -> Generator:
-    """Binomial-tree gather; root returns the rank-ordered list, others None."""
-    _record(ctx, "gather")
-    size, rank = ctx.size, ctx.rank
-    tag = _next_tag(ctx)
-    if size == 1:
-        return [value]
-    rel = (rank - root) % size
-    # Each subtree accumulates {relrank: value}; dicts merge up the tree.
-    acc: dict[int, Any] = {rel: value}
-    mask = 1
-    while mask < size:
-        if rel & mask == 0:
-            src_rel = rel | mask
-            if src_rel < size:
-                src = (src_rel + root) % size
-                msg = yield from ctx.recv(source=src, tag=tag)
-                acc.update(msg.payload)
-        else:
-            dst = ((rel & ~mask) + root) % size
-            yield from ctx.send(dst, acc, tag=tag)
-            return None
-        mask <<= 1
-    if rank != root:
+    """Binomial-tree gather; root returns the rank-ordered list, others None.
+
+    A reduce whose operator is dict union: each subtree accumulates
+    ``{relative rank: value}`` on the way up the tree."""
+    _record(ctx, "gather", root)
+    size = ctx.size
+    acc = yield from _sweep(ctx, {(ctx.rank - root) % size: value}, root, operator.or_)
+    if acc is None:
         return None
-    return [acc[(r - root) % size] for r in _rank_order(size, root)]
-
-
-def _rank_order(size: int, root: int) -> list[int]:
-    """Absolute ranks in gather output order (0..size-1)."""
-    return list(range(size))
+    return [acc[(r - root) % size] for r in range(size)]
 
 
 def scatter(ctx: RankCtx, values: list[Any] | None, root: int = 0) -> Generator:
@@ -1015,14 +888,11 @@ def scatter(ctx: RankCtx, values: list[Any] | None, root: int = 0) -> Generator:
 
     Only the root's ``values`` list is read; it must have ``size`` items.
     """
-    _record(ctx, "scatter")
+    _record(ctx, "scatter", root)
     size, rank = ctx.size, ctx.rank
     tag = _next_tag(ctx)
-    if size == 1:
-        if values is None or len(values) != 1:
-            raise ValueError("scatter root needs exactly `size` values")
-        return values[0]
     rel = (rank - root) % size
+    recv_from, send_to = _tree_steps(size)[0][rel]
     if rank == root:
         if values is None or len(values) != size:
             raise ValueError(
@@ -1030,26 +900,15 @@ def scatter(ctx: RankCtx, values: list[Any] | None, root: int = 0) -> Generator:
                 f"{None if values is None else len(values)}"
             )
         bundle = {(r - root) % size: v for r, v in enumerate(values)}
-    else:
-        bundle = None
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            src = (rel - mask + root) % size
-            msg = yield from ctx.recv(source=src, tag=tag)
-            bundle = msg.payload
-            break
-        mask <<= 1
-    mask >>= 1
-    assert bundle is not None
-    while mask > 0:
-        if rel + mask < size:
-            dst = (rel + mask + root) % size
-            lo = rel + mask
-            sub = {k: v for k, v in bundle.items() if k >= lo}
-            bundle = {k: v for k, v in bundle.items() if k < lo}
-            yield from ctx.send(dst, sub, tag=tag)
-        mask >>= 1
+    for peer in recv_from:
+        msg = yield from ctx.recv(source=(peer + root) % size, tag=tag)
+        bundle = msg.payload
+    for peer in send_to:
+        # Children come in descending order, so what is still held from
+        # ``peer`` upward is exactly that child's subtree.
+        sub = {k: v for k, v in bundle.items() if k >= peer}
+        bundle = {k: v for k, v in bundle.items() if k < peer}
+        yield from ctx.send((peer + root) % size, sub, tag=tag)
     return bundle[rel]
 
 

@@ -544,38 +544,22 @@ class RankCtx:
     def send(self, dest: int, payload: Any, tag: int = 0) -> Generator:
         """Blocking-for-injection send; completes when the NIC takes over."""
         comm = self.comm
-        if not 0 <= dest < comm.size:
-            raise ValueError(f"send to invalid rank {dest} (size {comm.size})")
-        if tag < 0:
-            raise ValueError(f"send tag must be >= 0, got {tag}")
-        nbytes = comm.sizer(payload)
         t0 = comm.engine._now
-        inj = comm._injection_time(nbytes)
-        delay = comm._delivery_delay(self.rank, dest, nbytes, t0)
-        msg = Message(self.rank, dest, tag, payload, nbytes, t0)
-        comm._sends += 1
-        comm._bytes_sent += nbytes
-        log = comm._obs_log
-        if log is not None:
-            log.append((self.rank, dest, nbytes))
-        faults = comm.faults
-        if faults is None or not faults.drop_message(self.rank, dest, t0):
-            comm.engine.put_later(max(delay, inj), comm._inboxes[dest], msg)
+        inj = self.post(dest, payload, tag)
         if inj > 0:
             yield inj + 0.0
         if comm.trace_p2p and comm.tracer is not None:
             comm.tracer.record(self._name, "mpi_send", t0, comm.engine._now)
-        return msg
 
     def post(self, dest: int, payload: Any, tag: int = 0) -> float:
-        """Non-blocking half of :meth:`send`: inject the message and
-        return the injection-occupancy seconds still to be charged.
+        """Inject a message and return the injection-occupancy seconds
+        still to be charged — the one place a message enters the network;
+        :meth:`send` and :meth:`sendrecv` are built on it.
 
-        Exactly :meth:`send` up to its ``yield`` — callers on the hot
-        path do ``inj = ctx.post(...)`` followed by ``yield inj``,
-        skipping one generator frame per message.  Callers own the
-        injection charge and any ``mpi_send`` trace span; the collectives
-        use this only when p2p tracing is off.
+        Callers on the hot path do ``inj = ctx.post(...)`` followed by
+        ``yield inj``, skipping one generator frame per message.  Callers
+        own the injection charge and any ``mpi_send`` trace span; the
+        collectives use this only when p2p tracing is off.
         """
         comm = self.comm
         if not 0 <= dest < comm.size:
@@ -659,20 +643,8 @@ class RankCtx:
         total charged time is max(injection, wait) as on real hardware
         with independent DMA.
         """
-        comm = self.comm
-        t0 = comm.engine._now
-        nbytes = comm.sizer(payload)
-        inj = comm._injection_time(nbytes)
-        delay = comm._delivery_delay(self.rank, dest, nbytes, t0)
-        msg_out = Message(self.rank, dest, tag, payload, nbytes, t0)
-        comm._sends += 1
-        comm._bytes_sent += nbytes
-        log = comm._obs_log
-        if log is not None:
-            log.append((self.rank, dest, nbytes))
-        faults = comm.faults
-        if faults is None or not faults.drop_message(self.rank, dest, t0):
-            comm.engine.put_later(max(delay, inj), comm._inboxes[dest], msg_out)
+        t0 = self.now
+        inj = self.post(dest, payload, tag)
         msg_in = yield from self.recv(source=source, tag=tag)
         # ensure at least injection time elapsed on our side
         elapsed = self.now - t0
@@ -681,10 +653,6 @@ class RankCtx:
         return msg_in
 
     # ----------------------------------------------------------------- trace
-    def _trace(self, label: str, t0: float) -> None:
-        if self.comm.tracer is not None and self.comm.trace_p2p:
-            self.comm.tracer.record(self._name, label, t0, self.now)
-
     def record_span(self, label: str, t0: float) -> None:
         """Record an explicit phase-level span ``[t0, now]`` for this rank.
 

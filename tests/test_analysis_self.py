@@ -7,14 +7,21 @@ fix or an explicit, justified ``# repro: noqa(...)``.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LINTED_TREES = ["src", "examples", "benchmarks", "tests"]
 
 
-def test_repo_lints_clean():
-    report = lint_paths(LINTED_TREES, root=REPO_ROOT)
+@pytest.fixture(scope="module")
+def report():
+    """One walk of the tree serves both tests."""
+    return lint_paths(LINTED_TREES, root=REPO_ROOT)
+
+
+def test_repo_lints_clean(report):
     rendered = "\n".join(f.render() for f in report.findings)
     assert not report.findings, (
         f"repro lint found {len(report.findings)} unsuppressed finding(s); "
@@ -23,8 +30,7 @@ def test_repo_lints_clean():
     )
 
 
-def test_self_lint_actually_covered_files():
-    report = lint_paths(LINTED_TREES, root=REPO_ROOT)
+def test_self_lint_actually_covered_files(report):
     # sanity: the walk really saw the tree (catches a silently wrong root)
     assert report.files_checked > 100
     # and the tree exercises the suppression mechanism (rng.py, costmodel.py)

@@ -475,6 +475,17 @@ class TestInfrastructure:
         with pytest.raises(FileNotFoundError):
             lint_paths(["no/such/dir"])
 
+    def test_rule_constants_track_the_collectives_module(self):
+        """The rules restate two facts of ``vmpi.collectives`` — its
+        reserved tag band (VMPI004) and its public function names
+        (VMPI001/002/005); a rename there must not silently drop coverage."""
+        from repro.analysis.astutil import COLLECTIVE_FUNCTIONS
+        from repro.analysis.tag_rules import RESERVED_TAG_BASE
+        from repro.vmpi import collectives
+
+        assert RESERVED_TAG_BASE == collectives._COLL_TAG_BASE
+        assert COLLECTIVE_FUNCTIONS == set(collectives.__all__) - {"binomial_levels"}
+
 
 # ----------------------------------------------------------------- CLI gate
 class TestLintCli:

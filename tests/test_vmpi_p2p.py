@@ -109,6 +109,24 @@ def test_send_to_invalid_rank_raises():
         run_spmd(2, prog)
 
 
+@pytest.mark.parametrize(
+    "dest,tag,match",
+    [(-1, 3, "invalid rank"), (4, 3, "invalid rank"), (1, -1, "tag")],
+)
+def test_sendrecv_validates_like_send(dest, tag, match):
+    """``sendrecv`` injects through ``post``, so a bad destination or tag
+    is the same ValueError ``send`` raises — ``dest=-1`` used to index
+    ``_inboxes`` from the end and deliver to the last rank."""
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.sendrecv(dest, "x", source=1, tag=tag)
+        return None
+
+    with pytest.raises(ValueError, match=match):
+        run_spmd(4, prog, network=ZeroCostNetwork())
+
+
 def test_negative_tag_rejected():
     def prog(ctx):
         yield from ctx.send(0, "x", tag=-1)
