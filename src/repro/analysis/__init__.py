@@ -26,8 +26,8 @@ Run the static pass from the shell::
 
     python -m repro.cli lint src examples benchmarks
 
-Suppress an intentional pattern inline with ``# repro: noqa(RULE_ID)``
-plus a justifying comment.
+Suppress an intentional pattern inline with a ``repro: noqa(RULE_ID)``
+comment plus a justification; an id outside the registry is reported.
 """
 
 from repro.analysis.cache import LintCache, analysis_signature
@@ -39,7 +39,6 @@ from repro.analysis.runtime import CollectiveOrderChecker, CollectiveOrderError
 # Importing the rule modules populates the registry.
 from repro.analysis import comm_rules as _comm_rules  # noqa: F401
 from repro.analysis import determinism_rules as _det_rules  # noqa: F401
-from repro.analysis import protocol_rules as _protocol_rules  # noqa: F401
 
 __all__ = [
     "Finding",

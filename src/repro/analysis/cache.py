@@ -9,9 +9,8 @@ everything the runner needs to *replay* the file without parsing it:
 * the expanded inline-suppression table (``finish_run`` findings from
   cross-module rules must still honor a cached file's noqa comments),
 * each cross-module rule's :meth:`~repro.analysis.rules.Rule.summarize`
-  output, fed back through ``absorb`` so run-level findings (tag
-  collisions, protocol pairing) stay exact with any mix of cached and
-  fresh files.
+  output, fed back through ``absorb`` so run-level findings (VMPI004
+  tag collisions) stay exact with any mix of cached and fresh files.
 
 The whole cache is keyed by an *analysis signature*: a hash over every
 source file of :mod:`repro.analysis` plus the selected rule ids.  Edit
@@ -30,7 +29,9 @@ from typing import Sequence
 __all__ = ["LintCache", "CACHE_FILENAME", "analysis_signature", "content_hash"]
 
 CACHE_FILENAME = ".repro_lint_cache.json"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+"""Bumped whenever the entry layout or the set of summarizing rules
+changes: version 1 entries carry summaries for retired rules."""
 
 
 def content_hash(source: str) -> str:

@@ -123,6 +123,5 @@ def _ensure_loaded() -> None:
         comm_rules,
         determinism_rules,
         doc_rules,
-        protocol_rules,
         tag_rules,
     )

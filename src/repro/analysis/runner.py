@@ -23,7 +23,12 @@ from typing import Iterable, Sequence
 
 from repro.analysis.astutil import ModuleContext
 from repro.analysis.cache import LintCache, content_hash
-from repro.analysis.findings import Finding, Severity, is_suppressed
+from repro.analysis.findings import (
+    Finding,
+    Severity,
+    is_suppressed,
+    suppressions_in,
+)
 from repro.analysis.rules import Rule, all_rules
 
 __all__ = ["LintReport", "lint_paths", "lint_source"]
@@ -112,6 +117,23 @@ def _select_rules(rule_ids: Sequence[str] | None) -> list[Rule]:
     return [r for r in rules if r.info.id in wanted]
 
 
+def _stale_suppressions(ctx: ModuleContext) -> Iterable[Finding]:
+    """A ``# repro: noqa(<id>)`` naming no registered rule silences
+    nothing — a typo, or a rule since retired.  Checked against the
+    whole registry, not the ``--select`` subset."""
+    known = {r.info.id for r in all_rules()} | {"*"}
+    for line, ids in sorted(suppressions_in(ctx.source).items()):
+        for rid in sorted(ids - known):
+            yield Finding(
+                rule="NOQA000",
+                severity=Severity.WARNING,
+                path=ctx.path,
+                line=line,
+                message=f"suppression names unknown rule {rid!r}",
+                hint="delete it, or name a rule from `repro lint --rules`",
+            )
+
+
 def _check_module(
     ctx: ModuleContext,
     rules: Sequence[Rule],
@@ -123,7 +145,7 @@ def _check_module(
     Returns the cacheable entry body for this file: classified
     findings, the expanded suppression table, and per-rule summaries.
     """
-    findings: list[Finding] = []
+    findings: list[Finding] = list(_stale_suppressions(ctx))
     suppressed: list[Finding] = []
     summaries: dict[str, dict] = {}
     for rule in rules:
@@ -260,9 +282,8 @@ def lint_paths(
     :meth:`~repro.analysis.cache.LintCache.save`.
 
     The whole walk is one lint *run*: cross-module rules (e.g. VMPI004
-    tag collisions, the VMPI006/VMPI007 protocol pairing) see every
-    module — cached or fresh — before their ``finish_run`` findings are
-    collected.
+    tag collisions) see every module — cached or fresh — before their
+    ``finish_run`` findings are collected.
     """
     rules = _select_rules(rule_ids)  # validate ids up front
     base = Path(root) if root is not None else None

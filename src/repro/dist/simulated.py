@@ -477,10 +477,6 @@ def _make_programs(
                 group = range(g0, min(g0 + fanout, shape.ranks))
                 bundle = int(sum(plan.shard_bytes[w - 1] for w in group))
                 yield from ctx.send(
-                    # repro: noqa(VMPI006) deliberate asymmetry: the staged
-                    # relay re-ships group "bundle"s as per-member "shard"s
-                    # on the same data stream; peers never overlap (master
-                    # sends only to leaders, leaders only to members)
                     g0, PayloadStub(bundle, "bundle"), tag=_TAG_DATA
                 )
             ctx.record_span(label(P2P, "load_data"), t0)

@@ -101,7 +101,6 @@ class TestUnconsumedComm:
             def ping(ctx):
                 return ctx.send(1, "x", tag=3)
             """,
-            rule_ids=["VMPI001"],  # half-protocol fixture trips VMPI007
         )
         assert report.findings == []
 
@@ -263,7 +262,6 @@ class TestWildcardRecv:
                     msg = yield from ctx.recv()
                     ack = yield from ctx.recv(source=msg.src, tag=5)
             """,
-            rule_ids=["VMPI003"],  # half-protocol fixture trips VMPI007
         )
         (f,) = report.findings
         assert f.rule == "VMPI003" and f.line == 3
@@ -276,7 +274,6 @@ class TestWildcardRecv:
                     msg = yield from ctx.recv(source=ANY_SOURCE, tag=9)
                     ack = yield from ctx.recv(source=msg.src, tag=5)
             """,
-            rule_ids=["VMPI003"],  # half-protocol fixture trips VMPI007
         )
         assert report.findings == []
 
@@ -364,6 +361,31 @@ class TestSuppression:
             """
         )
         assert report.findings == []
+
+    # spelled in pieces so the self-lint of this file sees no live noqa
+    NOQA = "# repro: " + "noqa"
+
+    def test_unknown_rule_in_noqa_is_reported(self):
+        report = lint(f"x = 1  {self.NOQA}(VMPI099) typo\n")
+        (f,) = report.findings
+        assert (f.rule, f.line, f.severity) == ("NOQA000", 1, Severity.WARNING)
+        assert "'VMPI099'" in f.message
+
+    def test_retired_rule_in_noqa_is_reported(self):
+        report = lint(f"x = 1  {self.NOQA}(DET001, VMPI006)\n")
+        assert [(f.rule, f.message) for f in report.findings] == [
+            ("NOQA000", "suppression names unknown rule 'VMPI006'")
+        ]
+
+    def test_known_rule_outside_select_is_not_stale(self):
+        report = lint(f"x = 1  {self.NOQA}(VMPI001) fine\n", rule_ids=["DET001"])
+        assert report.findings == []
+
+    def test_stale_noqa_fails_the_cli(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.py").write_text(f"x = 1  {self.NOQA}(VMPI099)\n")
+        assert main(["lint", "--no-cache", "m.py"]) == 1
+        assert "NOQA000" in capsys.readouterr().out
 
 
 # ------------------------------------------------------ VMPI004 tag collision
@@ -673,310 +695,6 @@ class TestDocPaths:
         )
         found = lint("x = 1\n", rule_ids=["DOC002"]).findings
         assert [(f.path, f.line) for f in found] == [("DESIGN.md", 3), ("README.md", 3)]
-
-
-# --------------------------------------------- VMPI006 payload size/shape
-class TestPayloadMismatch:
-    """Golden fixtures for the interprocedural payload lint."""
-
-    def plint(self, code, **kw):
-        kw.setdefault("rule_ids", ["VMPI006"])
-        return lint(code, **kw)
-
-    def test_conflicting_sizes_on_one_stream_flagged(self):
-        report = self.plint(
-            """\
-            TAG_W = 5
-
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(64, "theta"), tag=TAG_W)
-
-            def retry(ctx):
-                yield from ctx.send(1, PayloadStub(32, "theta"), tag=TAG_W)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=TAG_W)
-                return msg
-            """
-        )
-        (f,) = report.findings
-        assert f.rule == "VMPI006"
-        assert f.severity is Severity.WARNING
-        assert "32" in f.message and "64" in f.message and "conflicts" in f.message
-        assert f.line == 7  # the later, disagreeing send
-
-    def test_truncated_stub_vs_tuple_unpack_flagged(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "hdr"), tag=3)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=3)
-                a, b = msg.payload
-                return a
-            """
-        )
-        (f,) = report.findings
-        assert "PayloadStub" in f.message and "tuple-unpack" in f.message
-
-    def test_tuple_arity_mismatch_flagged(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, (1.0, 2.0, 3.0), tag=3)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=3)
-                a, b = msg.payload
-                return a
-            """
-        )
-        (f,) = report.findings
-        assert "3-tuple" in f.message and "2 value(s)" in f.message
-
-    def test_matching_arity_clean(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, (1.0, 2.0), tag=3)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=3)
-                a, b = msg.payload
-                return a
-            """
-        )
-        assert report.findings == []
-
-    def test_kind_mix_without_dispatch_flagged(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(64, "bundle"), tag=9)
-                yield from ctx.send(2, PayloadStub(64, "shard"), tag=9)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=9)
-                return msg
-            """
-        )
-        (f,) = report.findings
-        assert "bundle" in f.message and "shard" in f.message
-
-    def test_kind_dispatching_recv_exempts_stream(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(64, "work"), tag=9)
-                yield from ctx.send(1, PayloadStub(4, "shutdown"), tag=9)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=9)
-                if msg.payload.kind == "shutdown":
-                    return None
-            """
-        )
-        assert report.findings == []
-
-    def test_implicit_default_tags_do_not_cross_match(self):
-        # two unrelated helpers both defaulting to tag 0 must not be
-        # treated as one stream
-        report = self.plint(
-            """\
-            def a(ctx):
-                yield from ctx.send(1, PayloadStub(64, "a"))
-
-            def b(ctx):
-                yield from ctx.send(1, PayloadStub(32, "b"))
-
-            def c(ctx):
-                msg = yield from ctx.recv(source=0, tag=0)
-                return msg
-            """
-        )
-        assert report.findings == []
-
-    def test_interprocedural_param_payload_resolved(self):
-        # the master's dispatch-helper pattern: the payload reaches the
-        # send as a function parameter, sized from its call sites
-        report = self.plint(
-            """\
-            def dispatch(ctx, payload):
-                yield from ctx.send(1, payload, tag=7)
-
-            def master(ctx):
-                yield from dispatch(ctx, PayloadStub(64, "grad"))
-                yield from dispatch(ctx, PayloadStub(64, "cg"))
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=7)
-                a, b = msg.payload
-                return a
-            """
-        )
-        (f,) = report.findings
-        assert "PayloadStub" in f.message and f.line == 2
-
-    def test_cross_module_stream_via_lint_paths(self, tmp_path):
-        (tmp_path / "tags.py").write_text("TAG_DATA = 41\n")
-        (tmp_path / "master.py").write_text(
-            "def master(ctx):\n"
-            "    yield from ctx.send(1, PayloadStub(8, 'hdr'), tag=TAG_DATA)\n"
-        )
-        (tmp_path / "worker.py").write_text(
-            "def worker(ctx):\n"
-            "    msg = yield from ctx.recv(source=0, tag=TAG_DATA)\n"
-            "    a, b = msg.payload\n"
-        )
-        report = lint_paths([tmp_path], rule_ids=["VMPI006"])
-        (f,) = report.findings
-        assert f.path.endswith("master.py")
-
-    def test_suppressed_at_send_site(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(64, "bundle"), tag=9)  # repro: noqa(VMPI006) deliberate
-                yield from ctx.send(2, PayloadStub(64, "shard"), tag=9)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=9)
-                return msg
-            """
-        )
-        assert report.findings == []
-        (s,) = report.suppressed
-        assert s.rule == "VMPI006"
-
-    def test_tests_dir_exempt(self):
-        report = self.plint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "hdr"), tag=3)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=3)
-                a, b = msg.payload
-            """,
-            path="tests/fixtures/proto.py",
-        )
-        assert report.findings == []
-
-
-# --------------------------------------------- VMPI007 orphan endpoints
-class TestOrphanEndpoint:
-    def olint(self, code, **kw):
-        kw.setdefault("rule_ids", ["VMPI007"])
-        return lint(code, **kw)
-
-    def test_orphan_send_flagged(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=4)
-            """
-        )
-        (f,) = report.findings
-        assert f.rule == "VMPI007"
-        assert "no matching recv" in f.message and "tag 4" in f.message
-
-    def test_orphan_recv_flagged(self):
-        report = self.olint(
-            """\
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=9)
-                return msg
-            """
-        )
-        (f,) = report.findings
-        assert "never be satisfied" in f.message
-
-    def test_paired_stream_clean(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=4)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=4)
-                return msg
-            """
-        )
-        assert report.findings == []
-
-    def test_wildcard_recv_pardons_sends(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=4)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=ANY_TAG)
-                return msg
-            """
-        )
-        assert report.findings == []
-
-    def test_dynamic_send_tag_pardons_recvs(self):
-        report = self.olint(
-            """\
-            def master(ctx, t):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=t)
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=9)
-                return msg
-            """
-        )
-        assert report.findings == []
-
-    def test_implicit_default_send_satisfies_tag_zero_recv(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"))
-
-            def worker(ctx):
-                msg = yield from ctx.recv(source=0, tag=0)
-                return msg
-            """
-        )
-        assert report.findings == []
-
-    def test_cross_module_pairing_via_lint_paths(self, tmp_path):
-        # the matching recv lives in a sibling module of the group
-        (tmp_path / "master.py").write_text(
-            "def master(ctx):\n"
-            "    yield from ctx.send(1, PayloadStub(8, 'x'), tag=4)\n"
-        )
-        (tmp_path / "worker.py").write_text(
-            "def worker(ctx):\n"
-            "    msg = yield from ctx.recv(source=0, tag=4)\n"
-        )
-        report = lint_paths([tmp_path], rule_ids=["VMPI007"])
-        assert report.findings == []
-
-    def test_suppressed_at_site(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=4)  # repro: noqa(VMPI007) peer recv is external
-            """
-        )
-        assert report.findings == []
-        (s,) = report.suppressed
-        assert s.rule == "VMPI007"
-
-    def test_tests_dir_exempt(self):
-        report = self.olint(
-            """\
-            def master(ctx):
-                yield from ctx.send(1, PayloadStub(8, "x"), tag=4)
-            """,
-            path="tests/fixtures/half.py",
-        )
-        assert report.findings == []
 
 
 # ------------------------------------------------ DET003 wall-clock in DES
@@ -1346,6 +1064,41 @@ class TestLintCache:
         lint_paths([target], cache=c2)
         assert c2.hits == 0 and c2.misses == 1
 
+    def test_version_1_cache_is_discarded_and_rewritten(self, tmp_path):
+        # version-1 entries carry findings and summaries of the retired
+        # VMPI006/VMPI007 rules: a matching signature must not replay them
+        from repro.analysis.cache import LintCache, content_hash
+
+        (tmp_path / "prog.py").write_text("X = 1\n")
+        cache_file = tmp_path / "cache.json"
+        stale = {
+            "rule": "VMPI006", "severity": "warning", "path": "prog.py",
+            "line": 1, "message": "stale", "hint": "",
+        }
+        cache_file.write_text(json.dumps({
+            "version": 1,
+            "signature": "sig",
+            "files": {"prog.py": {
+                "sha": content_hash("X = 1\n"),
+                "findings": [stale],
+                "suppressed": [],
+                "suppressions": {},
+                "summaries": {"VMPI006": {"endpoints": []}},
+            }},
+        }))
+        cache = LintCache(cache_file, "sig")
+        report = lint_paths(["prog.py"], root=tmp_path, cache=cache)
+        assert report.findings == []
+        assert cache.hits == 0 and cache.misses == 1
+        cache.save()
+        data = json.loads(cache_file.read_text())
+        assert data["version"] == 2
+        assert data["files"]["prog.py"]["findings"] == []
+        assert "VMPI006" not in data["files"]["prog.py"]["summaries"]
+        warm = LintCache(cache_file, "sig")
+        lint_paths(["prog.py"], root=tmp_path, cache=warm)
+        assert warm.hits == 1
+
     def test_corrupt_cache_file_degrades_to_full_lint(self, tmp_path):
         from repro.analysis.cache import LintCache
 
@@ -1404,7 +1157,7 @@ class TestReporting:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"VMPI006", "VMPI007", "DET003"} <= rule_ids
+        assert {"VMPI004", "DET003"} <= rule_ids
         (res,) = [r for r in run["results"] if r["ruleId"] == "VMPI001"]
         assert res["level"] == "error"
         assert res["locations"][0]["physicalLocation"]["region"]["startLine"] == 3
@@ -1445,7 +1198,7 @@ class TestReporting:
         out = capsys.readouterr().out
         assert rc == 0
         assert "rule timings" in out
-        assert "VMPI006" in out and "cache:" in out
+        assert "VMPI004" in out and "cache:" in out
 
     def test_cli_cache_used_across_invocations(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1468,4 +1221,5 @@ class TestReporting:
 class TestNewRuleRegistry:
     def test_registry_has_the_protocol_and_wallclock_rules(self):
         ids = {r.info.id for r in all_rules()}
-        assert {"VMPI006", "VMPI007", "DET003"} <= ids
+        assert {"VMPI004", "VMPI005", "DET003"} <= ids
+        assert not {"VMPI006", "VMPI007"} & ids

@@ -1,5 +1,10 @@
 """CLI entry points (fast paths only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -98,3 +103,26 @@ def test_report_rejects_a_bad_shape_in_one_line(capsys):
     assert capsys.readouterr().err == (
         "repro report: 63-4-16: ranks (63) not divisible by ranks_per_node (4)\n"
     )
+
+
+@pytest.mark.parametrize("rule", ["VMPI006", "VMPI007"])
+def test_lint_select_of_a_retired_rule_exits_2(tmp_path, capsys, monkeypatch, rule):
+    """The static payload/orphan pairing rules were retired; selecting
+    one is a usage error, not a silently empty run."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.py").write_text("X = 1\n")
+    assert main(["lint", "--select", rule, "m.py"]) == 2
+    assert f"unknown rule id(s): ['{rule}']" in capsys.readouterr().err
+
+
+def test_python_dash_m_repro_is_the_cli():
+    """``python -m repro`` used to fail with "No module named
+    repro.__main__"."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: repro lint")
