@@ -1,30 +1,25 @@
-"""Simulator wall-clock benchmarks: DES engine + vmpi hot paths.
+"""Simulator invariants: DES engine + vmpi hot paths, every executor.
 
-Unlike the figure benchmarks, these time the *simulator itself* — the
-engine event loop, mailbox matching, and collective fan-out that every
-other benchmark rides on.  The same suite is exposed as ``repro perf``;
-the committed ``BENCH_sim_vmpi.json`` at the repo root is the published
-baseline each PR is compared against.
+These exercise the *simulator itself* — the engine event loop, mailbox
+matching, collective fan-out and the scalar / vector / sharded macro
+executors that every other benchmark rides on.  The same suite is
+exposed as ``repro perf``; the committed ``BENCH_sim_vmpi.json`` at the
+repo root is the baseline a fresh run must reproduce.
 
 Asserted here: the virtual results (finish times, message counts) are
-bit-identical to the published baseline — a perf run that changes a
-simulated number is a correctness bug, not a speedup — and the macro
-runs stay within a generous wall-clock envelope so a pathological
-regression (e.g. accidental O(n^2) mailbox scan) fails loudly.
-
-Observability rides the same baseline: the committed ``obs_ratio`` per
-macro shape (min-over-rounds walls, obs-attached vs plain, interleaved)
-is the published evidence that attaching a :class:`MetricsRegistry`
-costs at most 5 % of macro wall-clock, and the metrics the instrumented
-run reports (event counts, peak queue depths, outstanding-message HWMs)
-are simulated quantities, so they must match the baseline bit-for-bit.
+bit-identical to the baseline — a run that changes a simulated number
+is a correctness bug, not a speedup — on every executor, and the
+metrics an instrumented run reports (event counts, peak queue depths,
+outstanding-message HWMs) are simulated quantities, so they must match
+the baseline bit-for-bit too.  Attaching a :class:`MetricsRegistry`
+must leave every result unchanged.  Host time is not asserted here:
+``python bench/run.py`` measures it, including the obs attach cost
+(``obs.attach_ratio``).
 """
 
-import gc
 import json
 import multiprocessing
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -44,31 +39,13 @@ from repro.harness.perf import (
     registry_metrics_block,
     render_perf_text,
     run_perf,
-    shard_metrics_block,
 )
 
 BASELINE_PATH = Path(__file__).parent.parent / BENCH_FILENAME
 
-# Macro wall-clock envelope: baseline best_s times this factor.  Wide
-# enough for slow CI machines, tight enough to catch a complexity-class
-# regression (the pre-overhaul engine was ~4x slower at 4096 ranks).
-WALL_BUDGET_FACTOR = 3.0
-
-# The contract on attached-observability overhead: the *published*
-# baseline must demonstrate <= 5 % (regenerating it on a noisy machine
-# takes enough interleaved rounds for both legs to catch a quiet one).
-OBS_BUDGET_RATIO = 1.05
-
-# Live-run envelope for the same ratio: one noisy in-suite measurement
-# cannot re-prove 5 %, but a complexity-class regression in the hooks
-# (per-event dict arithmetic, an eager fold) lands well above this.
-OBS_PATHOLOGICAL_RATIO = 1.75
-
-# The SPMD fast-path acceptance gate: at 16384 ranks the vector executor
-# must beat the per-generator scalar scheduler by at least this factor.
-# (Measured headroom is ~40x; 5x survives the noisiest CI machine.)
-SPMD_SPEEDUP_FLOOR = 5.0
-SPMD_SPEEDUP_SHAPE = "16384-4-16"
+# The SPMD fast path must reproduce the scalar scheduler at the anchor
+# shape and the baseline at the large shape, which only it can afford.
+SPMD_LARGE_SHAPE = "16384-4-16"
 SPMD_SCALAR_ANCHOR = "1024-4-16"
 
 
@@ -85,8 +62,8 @@ def test_micro_determinism():
     assert bench_bcast_fanout() == bench_bcast_fanout()
 
 
-def test_perf_suite(benchmark):
-    payload = benchmark.pedantic(run_perf, rounds=1, iterations=1)
+def test_perf_suite():
+    payload = run_perf()
     print()
     print(render_perf_text(payload))
     baseline = _baseline()
@@ -101,17 +78,11 @@ def test_perf_suite(benchmark):
                         f"{section}/{name}: {key} changed "
                         f"({got[key]!r} != baseline {base[key]!r})"
                     )
-    for name, base in baseline["macro"].items():
-        got = payload["macro"][name]
-        assert got["best_s"] < WALL_BUDGET_FACTOR * base["best_s"], (
-            f"macro/{name}: {got['best_s']:.2f}s exceeds "
-            f"{WALL_BUDGET_FACTOR}x baseline {base['best_s']:.2f}s"
-        )
-        if "obs_ratio" in got:  # shapes above the obs-interleave cap skip it
-            assert got["obs_ratio"] < OBS_PATHOLOGICAL_RATIO, (
-                f"macro/{name}: obs-attached run cost {got['obs_ratio']:.2f}x "
-                f"the plain run — the hooks regressed far past the 5% budget"
-            )
+    # the file holds only virtual results, so the whole of it must match
+    assert json.loads(json.dumps(payload)) == baseline, (
+        "perf payload diverged from the committed baseline; if intentional, "
+        "regenerate with 'repro perf --json'"
+    )
 
 
 def test_sim_collectives():
@@ -149,24 +120,6 @@ def test_sim_collectives():
         )
 
 
-def _best_wall(fn, repeats=2):
-    """Min-over-repeats wall clock with the collector parked (the same
-    protocol as the harness timer)."""
-    was_enabled = gc.isenabled()
-    walls = []
-    try:
-        gc.disable()
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            walls.append(time.perf_counter() - t0)
-            gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return min(walls)
-
-
 def _virtual(entry):
     """The executor-invariant portion of a bench result (the ``path``
     key names which executor ran — the one field that *should* differ
@@ -175,24 +128,12 @@ def _virtual(entry):
 
 
 @pytest.mark.parametrize("auto_overlap", [False, True], ids=["plain", "auto+overlap"])
-def test_vector_spmd_speedup_at_16k(auto_overlap):
-    """The tentpole acceptance gate: at 16384 ranks the SPMD vector fast
-    path is >= 5x faster than the scalar per-generator scheduler — for
-    the plain fixed-algorithm run and for the paper configuration
-    (auto-selected collectives + bucketed gradient overlap), which this
-    PR makes vector-eligible.
-
-    Running the scalar path at 16k directly would take most of a minute,
-    so its cost is extrapolated linearly from a live 1024-rank scalar
-    run.  The extrapolation is *conservative*: scalar event count grows
-    O(p log p) and the heap O(log(events)) on top, so linear-in-p
-    understates the true 16k scalar wall — the measured ratio is ~40x
-    against the understated denominator's ~8x requirement.
-    """
-    anchor_ranks = int(SPMD_SCALAR_ANCHOR.split("-")[0])
-    gate_ranks = int(SPMD_SPEEDUP_SHAPE.split("-")[0])
-    # Same shape, both paths: the numbers the gate compares are walls
-    # for *identical* virtual work.
+def test_vector_spmd_matches_scalar_and_baseline(auto_overlap):
+    """The SPMD vector fast path reproduces the scalar per-generator
+    scheduler at 1024 ranks and the committed baseline at 16384 ranks
+    (where the scalar path would take most of a minute) — for the plain
+    fixed-algorithm run and for the paper configuration (auto-selected
+    collectives + bucketed gradient overlap)."""
     scalar_anchor = bench_macro(
         SPMD_SCALAR_ANCHOR, vector=False, auto_overlap=auto_overlap
     )
@@ -205,37 +146,10 @@ def test_vector_spmd_speedup_at_16k(auto_overlap):
         "vector fast path diverged from the scalar scheduler at "
         f"{SPMD_SCALAR_ANCHOR}: {vector_anchor} != {scalar_anchor}"
     )
-    scalar_wall = _best_wall(
-        lambda: bench_macro(
-            SPMD_SCALAR_ANCHOR, vector=False, auto_overlap=auto_overlap
-        )
-    )
-    vector_wall = _best_wall(
-        lambda: bench_macro(
-            SPMD_SPEEDUP_SHAPE, vector=True, auto_overlap=auto_overlap
-        )
-    )
-    scalar_extrapolated = scalar_wall * (gate_ranks // anchor_ranks)
-    speedup = scalar_extrapolated / vector_wall
-    leg = "auto+overlap" if auto_overlap else "plain"
-    print(
-        f"\nSPMD speedup at {SPMD_SPEEDUP_SHAPE} [{leg}]: {speedup:.1f}x "
-        f"(vector {vector_wall:.3f}s vs scalar extrapolated "
-        f"{scalar_extrapolated:.3f}s from {scalar_wall:.3f}s @ "
-        f"{SPMD_SCALAR_ANCHOR})"
-    )
-    assert speedup >= SPMD_SPEEDUP_FLOOR, (
-        f"SPMD fast path speedup {speedup:.2f}x at {SPMD_SPEEDUP_SHAPE} "
-        f"[{leg}] is below the {SPMD_SPEEDUP_FLOOR}x acceptance floor"
-    )
     baseline = _baseline()
-    name = (
-        f"{SPMD_SPEEDUP_SHAPE}+auto+overlap" if auto_overlap else SPMD_SPEEDUP_SHAPE
-    )
+    name = f"{SPMD_LARGE_SHAPE}+auto+overlap" if auto_overlap else SPMD_LARGE_SHAPE
     if baseline and name in baseline.get("macro", {}):
-        got = bench_macro(
-            SPMD_SPEEDUP_SHAPE, vector=True, auto_overlap=auto_overlap
-        )
+        got = bench_macro(SPMD_LARGE_SHAPE, vector=True, auto_overlap=auto_overlap)
         base = baseline["macro"][name]
         assert got["virtual_finish"] == base["virtual_finish"]
         assert got["messages"] == base["messages"]
@@ -243,7 +157,7 @@ def test_vector_spmd_speedup_at_16k(auto_overlap):
 
 def test_macro_invariants_against_baseline():
     """One 1024-rank run, checked against the committed baseline without
-    the full timed suite — the cheap timeline-preservation gate."""
+    the full suite — the cheap timeline-preservation gate."""
     baseline = _baseline()
     if baseline is None:
         return
@@ -251,22 +165,6 @@ def test_macro_invariants_against_baseline():
     base = baseline["macro"]["1024-4-16"]
     assert got["virtual_finish"] == base["virtual_finish"]
     assert got["messages"] == base["messages"]
-
-
-def test_baseline_obs_overhead_within_budget():
-    """The committed baseline is the published proof that attaching a
-    metrics registry costs <= 5 % of macro wall-clock."""
-    baseline = _baseline()
-    if baseline is None:
-        return
-    for name, base in baseline["macro"].items():
-        if "obs_ratio" not in base:  # above the obs-interleave cap
-            continue
-        assert base["obs_ratio"] <= OBS_BUDGET_RATIO, (
-            f"macro/{name}: committed obs_ratio {base['obs_ratio']:.3f} "
-            f"exceeds the {OBS_BUDGET_RATIO}x budget — optimize the hooks "
-            f"or regenerate the baseline on a quieter machine"
-        )
 
 
 def test_obs_metrics_match_baseline():
@@ -285,8 +183,8 @@ def test_obs_metrics_match_baseline():
 
 
 def _obs_legs():
-    """Fast-path obs-overhead legs: vectorized always; sharded where the
-    platform can fork."""
+    """Fast-path obs-passivity legs: vectorized always; sharded where
+    the platform can fork."""
     legs = [("vector", {"vector": True})]
     if "fork" in multiprocessing.get_all_start_methods():
         legs.append(("shards4", {"vector": True, "shards": 4}))
@@ -300,6 +198,16 @@ SPECULATE_SHAPE = "262144-4-16"
 SPECULATE_SHARDS = 4
 
 
+def _shard_metrics(reg):
+    """The unlabelled ``sim.shard.*`` window metrics of an obs snapshot,
+    by unprefixed name (the peak for gauges)."""
+    return {
+        rec["metric"][len("sim.shard.") :]: rec.get("peak", rec["value"])
+        for rec in reg.snapshot()
+        if rec["metric"].startswith("sim.shard.") and not rec["labels"]
+    }
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="sharded engine needs fork-capable multiprocessing",
@@ -309,8 +217,7 @@ def test_speculative_windows_reduce_stalls_at_262k():
     with speculation on, ``sim.shard.window_stalls`` (now counting only
     windows that actually rolled back) drops below the conservative
     protocol's stall count — with zero divergence in any virtual
-    result.  The rollback count itself lands in the BENCH json
-    ``shard_metrics`` block of sharded runs; here it is printed."""
+    result.  The rollback count is printed."""
     results = {}
     for speculate in (False, True):
         sink = []
@@ -320,7 +227,7 @@ def test_speculative_windows_reduce_stalls_at_262k():
             shards=SPECULATE_SHARDS,
             speculate=speculate,
         )
-        results[speculate] = (res, shard_metrics_block(sink[-1]))
+        results[speculate] = (res, _shard_metrics(sink[-1]))
     cons, cons_sm = results[False]
     spec, spec_sm = results[True]
     assert cons["path"] == "vector+sharded" and spec["path"] == "speculative"
@@ -346,26 +253,15 @@ def test_speculative_windows_reduce_stalls_at_262k():
     assert spec_sm.get("speculated_windows", 0) > 0
 
 
-def test_obs_overhead_vector_and_sharded_paths():
-    """The obs budget covers every execution path, not just the scalar
-    scheduler: attach a registry to a vectorized 1024-rank macro run and
-    to a sharded (``shards=4``) one, and bound the live obs-attached /
-    plain wall ratio.  (The committed <= 5 % proof lives in the
-    baseline; the live gate catches a complexity-class regression in
-    the bulk-surface hooks on either path.)"""
+def test_obs_attach_is_passive_on_vector_and_sharded_paths():
+    """Passivity covers every execution path, not just the scalar
+    scheduler: attaching a registry to a vectorized 1024-rank macro run
+    and to a sharded (``shards=4``) one leaves the virtual outcome
+    unchanged."""
     for name, kw in _obs_legs():
         plain = bench_macro("1024-4-16", **kw)
         attached = bench_macro_obs("1024-4-16", **kw)
         assert attached == plain, (
             f"{name}: attaching obs changed the virtual outcome "
             f"({attached} != {plain})"
-        )
-        plain_wall = _best_wall(lambda: bench_macro("1024-4-16", **kw))
-        obs_wall = _best_wall(lambda: bench_macro_obs("1024-4-16", **kw))
-        ratio = obs_wall / plain_wall
-        print(f"\nobs ratio [{name}]: {ratio:.3f} "
-              f"(obs {obs_wall:.3f}s / plain {plain_wall:.3f}s)")
-        assert ratio < OBS_PATHOLOGICAL_RATIO, (
-            f"{name}: obs-attached macro cost {ratio:.2f}x the plain run "
-            f"— the fast-path hooks regressed far past the 5% budget"
         )

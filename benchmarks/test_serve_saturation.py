@@ -1,23 +1,21 @@
 """Serving saturation baseline: the committed sweep, bit-for-bit.
 
 The ``serve`` section of ``BENCH_sim_vmpi.json`` is pure virtual-time
-data — no wall clocks anywhere in the sweep — so unlike the ratio-gated
-micro/macro sections it is compared **exactly**: a fresh run of the
-same seeded sweep must reproduce every committed number on any machine.
-A mismatch means the serving model's timeline changed, which is a
-correctness event that must be deliberate (regenerate with
-``repro perf --serve --json``), never noise.
+data — no wall clocks anywhere in the sweep — so like the rest of the
+file it is compared **exactly**: a fresh run of the same seeded sweep
+must reproduce every committed number on any machine.  A mismatch means
+the serving model's timeline changed, which is a correctness event that
+must be deliberate (regenerate with ``repro perf --serve --json``),
+never noise.
 
 Also asserted: the committed curve actually shows the saturation knee
 (p99 at overload well above p99 at low load — the plot the operator's
-guide walks through), the sweep stays inside a generous wall budget,
-and attaching a metrics registry neither changes any virtual outcome
-nor costs pathological wall time (the serving collector is scrape-time
-only).
+guide walks through), and attaching a metrics registry changes no
+virtual outcome (the serving collector is scrape-time only).  Host time
+is measured by ``python bench/run.py`` (its ``serve_sweep`` workload).
 """
 
 import json
-import time
 from pathlib import Path
 
 import sys
@@ -33,18 +31,9 @@ from repro.serve import ArrivalSpec, ServeConfig, simulate_serving
 
 BASELINE_PATH = Path(__file__).parent.parent / BENCH_FILENAME
 
-# Full sweep measured ~1 s on a development machine; an order of
-# magnitude of headroom still catches a complexity-class regression.
-SWEEP_WALL_BUDGET_S = 30.0
-
 # The knee criterion: committed p99 at the worst overload point must be
 # at least this multiple of p99 at the lightest load.
 KNEE_FACTOR = 2.0
-
-# Live envelope for the obs-attached / plain wall ratio (the committed
-# proof of passivity is the bit-identical invariants; this catches a
-# hook accidentally added to the serving hot path).
-OBS_PATHOLOGICAL_RATIO = 1.75
 
 
 def _baseline_serve():
@@ -58,16 +47,11 @@ def test_saturation_sweep_matches_baseline_bit_for_bit():
     base = _baseline_serve()
     if base is None:
         return
-    t0 = time.perf_counter()
     got = serve_payload(quick=bool(base["quick"]), seed=int(base["seed"]))
-    wall = time.perf_counter() - t0
     assert got == base, (
         "serving sweep diverged from the committed baseline — the "
         "serving model's virtual timeline changed; if intentional, "
         "regenerate with 'repro perf --serve --json'"
-    )
-    assert wall < SWEEP_WALL_BUDGET_S, (
-        f"serve sweep took {wall:.1f}s, over the {SWEEP_WALL_BUDGET_S}s budget"
     )
 
 
@@ -93,7 +77,7 @@ def test_baseline_shows_p99_knee():
     )
 
 
-def test_obs_attach_is_passive_and_cheap():
+def test_obs_attach_is_passive():
     cfg = ServeConfig(
         replicas=4, arrivals=ArrivalSpec(rate=5.0), horizon_s=8.0, seed=5
     )
@@ -109,20 +93,3 @@ def test_obs_attach_is_passive_and_cheap():
         if rec["metric"] == "serve.requests"
     }
     assert outcomes["completed"] == plain.completed
-
-    def _wall(fn):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    plain_wall = _wall(lambda: simulate_serving(cfg))
-    obs_wall = _wall(lambda: simulate_serving(cfg, obs=MetricsRegistry()))
-    ratio = obs_wall / plain_wall
-    print(f"\nserve obs ratio: {ratio:.3f} "
-          f"(obs {obs_wall:.3f}s / plain {plain_wall:.3f}s)")
-    assert ratio < OBS_PATHOLOGICAL_RATIO, (
-        f"obs-attached serving run cost {ratio:.2f}x the plain run"
-    )

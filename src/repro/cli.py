@@ -8,7 +8,7 @@
     python -m repro.cli scaling          # the linear-to-4096 claim
     python -m repro.cli calibrate        # extract an IterationScript from a real run
     python -m repro.cli lint             # static rank-program verifier
-    python -m repro.cli perf             # DES/vmpi hot-path benchmarks
+    python -m repro.cli perf             # DES/vmpi virtual-invariant sweep
     python -m repro.cli serve            # inference serving under load
     python -m repro.cli trace 4096-4-16 --out trace.json   # Perfetto export
     python -m repro.cli report 1024-4-16 --out report.md   # markdown run report
@@ -316,8 +316,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _parse_ranks(spec: str) -> list[int]:
+    """The rank counts a ``--ranks R1,R2,...`` list names; each must
+    make a valid ``<r>-4-16`` macro shape."""
+    ranks = []
+    for item in spec.split(","):
+        if not (item.isascii() and item.isdigit()) or int(item) == 0:
+            raise _InputError(f"--ranks {spec}: {item!r} is not a positive rank count")
+        ranks.append(_parse_shape(f"{item}-4-16").ranks)
+    return ranks
+
+
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Time the DES engine / vmpi hot paths (see :mod:`repro.harness.perf`)."""
+    """Check the simulator's virtual invariants against
+    ``BENCH_sim_vmpi.json`` (see :mod:`repro.harness.perf`)."""
     from repro.harness.perf import (
         BENCH_FILENAME,
         dump_obs_metrics,
@@ -330,12 +342,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return _perf_faults(args)
     if args.serve:
         return _perf_serve(args)
-    ranks = (
-        [int(r) for r in args.ranks.split(",") if r] if args.ranks else None
-    )
+    ranks = _parse_ranks(args.ranks) if args.ranks is not None else None
     try:
         payload = run_perf(
-            repeats=args.repeats,
             quick=args.quick,
             ranks=ranks,
             shards=args.shards,
@@ -392,7 +401,7 @@ def _perf_serve(args: argparse.Namespace) -> int:
     """``repro perf --serve``: the serving saturation sweep and batching
     tradeoff (see :mod:`repro.harness.serving`).  With ``--json``,
     updates only the ``serve`` section of the BENCH file, leaving the
-    wall-clock sections untouched."""
+    other sections untouched."""
     import json
     from pathlib import Path
 
@@ -407,7 +416,15 @@ def _perf_serve(args: argparse.Namespace) -> int:
 
     if args.json:
         target = Path(args.out or BENCH_FILENAME)
-        payload = json.loads(target.read_text()) if target.exists() else {}
+        payload = {}
+        if target.exists():
+            try:
+                payload = json.loads(target.read_text())
+            except (OSError, ValueError) as exc:  # unreadable; not JSON
+                reason = getattr(exc, "strerror", None) or exc
+                raise _InputError(f"{target}: {reason}") from None
+            if not isinstance(payload, dict):
+                raise _InputError(f"{target}: not a JSON object")
         payload["serve"] = serve_payload(quick=args.quick)
         out = write_bench_json(payload, target)
         print(f"updated serve section of {out}")
@@ -755,15 +772,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint, command="lint")
     perf = sub.add_parser(
         "perf",
-        help="time the DES engine / vmpi hot paths (micro + macro benchmarks)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3, help="timed repeats per benchmark"
+        help="run the simulator's micro + macro benchmarks twice each and "
+        "print their virtual results (host time: python bench/run.py)",
     )
     perf.add_argument(
         "--quick",
         action="store_true",
-        help="shrunk workloads (seconds, for smoke tests; not a baseline)",
+        help="shrunk workloads (for smoke tests; not the baseline)",
     )
     perf.add_argument(
         "--json",

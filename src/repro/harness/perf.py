@@ -1,10 +1,12 @@
-"""Simulator performance benchmarks — the ``repro perf`` harness.
+"""Simulator invariant sweep — the ``repro perf`` harness.
 
-The DES engine + virtual-MPI layer execute every figure of the
-reproduction at the paper's true scale (1024-8192 ranks), so simulator
-wall-clock *is* the cost of the benchmark suite.  This module times the
-hot paths the engine overhaul targets and emits ``BENCH_sim_vmpi.json``
-so each PR inherits the previous one's numbers as a regression baseline.
+Every benchmark here reports *virtual* results only: finish times,
+message / byte / event totals, the selected collective algorithms and
+the serving sweep.  Those are bit-identical on any host, so the
+committed ``BENCH_sim_vmpi.json`` is a baseline a fresh run must
+reproduce exactly — a changed number is a timeline change, never noise.
+Host time is measured in one place only, ``python bench/run.py`` (which
+binds the micro benchmarks below as per-layer extras).
 
 Benchmarks
 ----------
@@ -14,37 +16,25 @@ micro
     indexed mailboxes; ``bcast_fanout`` — binomial-tree fan-out, the
     collective building block.
 macro
-    ``simulate_training`` at 1024 and 4096 ranks with the standard
-    50-hour workload — the configuration the ≥3× speedup acceptance
-    criterion is measured on.
+    ``simulate_training`` at 1024 to 262144 ranks with the standard
+    50-hour workload, each shape also as a ``+auto+overlap`` leg (the
+    paper configuration).
+collectives, serve
+    the algorithm-selection crossover with the bucketed-overlap
+    ablation, and the serving saturation sweep.
 
 Protocol
 --------
-Each benchmark runs ``repeats`` times and reports every wall time plus
-the **min** (the standard estimator for intrinsic cost under scheduler
-noise).  The collector is disabled inside the timed region — the
-simulator allocates millions of short-lived tuples, and generational GC
-sweeps otherwise dominate variance (collection runs between repeats
-instead).  Every benchmark also records a *virtual* invariant (finish
-time, message count) so a perf run doubles as a determinism check: the
-numbers must be bit-identical across engine changes.
-
-Each macro shape is additionally timed with a
-:class:`~repro.obs.metrics.MetricsRegistry` attached (``obs_best_s`` /
-``obs_walls_s`` plus a ``metrics`` block of event counts and peak queue
-depths).  The plain and instrumented runs are interleaved round-robin
-and the overhead is published as ``obs_ratio`` — the ratio of the two
-min-over-rounds walls, the estimator least contaminated by scheduler
-noise (which only ever adds time).  The instrumented run must reproduce the
-uninstrumented virtual finish time exactly — observability is passive —
-and the perf suite bounds ``obs_ratio`` at 5 %.
+Each leg runs twice and the two results must be equal.  For macro
+shapes up to :data:`METRICS_MAX_RANKS` the second run carries a
+:class:`~repro.obs.metrics.MetricsRegistry` and fills the ``metrics``
+block (event counts, peak queue depths), so the one rerun checks both
+repeat determinism and that attached observability is passive.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import time
 from pathlib import Path
 from typing import Any, Callable, Generator
 
@@ -70,11 +60,11 @@ LARGE_MACRO_SHAPES = ("16384-4-16", "65536-4-16", "262144-4-16")
 because the SPMD executor replays whole phases as array ops."""
 QUICK_MACRO_SHAPES = ("256-4-16",)
 
-OBS_INTERLEAVE_MAX_RANKS = 16384
-"""Largest macro shape timed with the obs-attached interleave; beyond it
-the plain run alone is timed (the obs overhead estimate is already
-established on the smaller shapes, and per-rank metric materialization
-at 65k+ ranks would dominate the measurement)."""
+METRICS_MAX_RANKS = 16384
+"""Largest macro shape whose rerun carries a metrics registry; beyond it
+both runs are plain (passivity is already checked on the smaller
+shapes, and per-rank metric materialization at 65k+ ranks would
+dominate the sweep)."""
 
 
 # --------------------------------------------------------------------- micro
@@ -226,27 +216,6 @@ def bench_collectives(spec: str = "1024-4-16", hours: float = 2.0) -> dict[str, 
     }
 
 
-def shard_metrics_block(reg: Any) -> dict[str, Any]:
-    """Condense the ``sim.shard.*`` surface of an obs snapshot into the
-    BENCH json ``shard_metrics`` block (stalls, rollbacks, speculation
-    depth).  Unlike the virtual invariants these are *wall-clock
-    sensitive* on the speculative path — rollback counts depend on OS
-    scheduling — so they are reported, never baseline-compared."""
-    out: dict[str, Any] = {}
-    for rec in reg.snapshot():
-        name = rec["metric"]
-        if not name.startswith("sim.shard."):
-            continue
-        key = name[len("sim.shard.") :]
-        if name == "sim.shard.kernel_ops":
-            out["kernel_ops"] = out.get("kernel_ops", 0) + rec["value"]
-        elif "peak" in rec:
-            out[key] = rec["peak"]
-        else:
-            out[key] = rec["value"]
-    return out
-
-
 def registry_metrics_block(reg: Any) -> dict[str, Any]:
     """Condense an obs snapshot into the BENCH json ``metrics`` block."""
     events: dict[str, int] = {}
@@ -275,15 +244,14 @@ def bench_macro_obs(
     auto_overlap: bool = False,
 ) -> dict[str, Any]:
     """:func:`bench_macro` with a fresh metrics registry attached — the
-    instrumented engine loop and comm hooks (the observability overhead
-    the perf suite bounds at 5 %).
+    instrumented engine loop and comm hooks.
 
-    Only the *simulation* runs here: snapshot folding is deliberately
-    excluded so ``_time(bench_macro_obs)`` measures hot-path overhead,
-    not the one-time export cost.  ``registry_sink``, if given, receives
-    the attached registry (via ``append``) for post-timing inspection.
+    Only the *simulation* runs here: snapshot folding is left to the
+    caller, so a timed call measures hot-path overhead, not the one-time
+    export cost.  ``registry_sink``, if given, receives the attached
+    registry (via ``append``) for later inspection.
     ``vector``/``shards`` pass through to :func:`bench_macro`, so the
-    overhead gate covers the SPMD fast path and the sharded engine too.
+    passivity checks cover the SPMD fast path and the sharded engine too.
     """
     from repro.obs import MetricsRegistry
 
@@ -315,47 +283,23 @@ def dump_obs_metrics(path: str | Path, quick: bool = False) -> Path:
 
 
 # ------------------------------------------------------------------- driver
-def _time_interleaved(
-    fns: list[Callable[[], dict[str, Any]]], repeats: int
-) -> list[dict[str, Any]]:
-    """Time several benchmarks round-robin (A, B, A, B, ...).
-
-    Interleaving is what makes *ratios* between the entries meaningful:
-    slow drift in machine speed (thermal throttling, noisy neighbours)
-    hits every entry of a round about equally instead of biasing
-    whichever ran in the faster block.  The min-over-repeats estimator
-    is then taken per entry as usual.
-    """
-    walls: list[list[float]] = [[] for _ in fns]
-    metas: list[dict[str, Any]] = [{} for _ in fns]
-    was_enabled = gc.isenabled()
-    try:
-        gc.disable()
-        for _ in range(repeats):
-            for j, fn in enumerate(fns):
-                t0 = time.perf_counter()
-                result = fn()
-                walls[j].append(time.perf_counter() - t0)
-                if metas[j] and result != metas[j]:
-                    raise AssertionError(
-                        f"benchmark is not deterministic: {result} != {metas[j]}"
-                    )
-                metas[j] = result
-                gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return [
-        {"walls_s": w, "best_s": min(w), **m} for w, m in zip(walls, metas)
-    ]
-
-
-def _time(fn: Callable[[], dict[str, Any]], repeats: int) -> dict[str, Any]:
-    return _time_interleaved([fn], repeats)[0]
+def _rerun(
+    name: str,
+    fn: Callable[[], dict[str, Any]],
+    again: Callable[[], dict[str, Any]] | None = None,
+) -> dict[str, Any]:
+    """Run ``fn``, then ``again`` (default: ``fn`` once more), and
+    require both to report the same virtual result."""
+    first = fn()
+    second = (again or fn)()
+    if second != first:
+        raise AssertionError(
+            f"{name}: the rerun changed the virtual result: {second} != {first}"
+        )
+    return first
 
 
 def run_perf(
-    repeats: int = 3,
     quick: bool = False,
     ranks: list[int] | None = None,
     shards: int = 1,
@@ -364,16 +308,15 @@ def run_perf(
     """Run every benchmark; returns the ``BENCH_sim_vmpi.json`` payload.
 
     ``quick`` shrinks the workloads for smoke-testing the harness itself
-    (CI); published baselines use the default sizes.  ``ranks`` replaces
-    the macro shape list with ``<r>-4-16`` entries (the ``repro perf
-    --ranks 16384,65536,262144`` sweep); ``shards`` runs the macro legs
-    on the sharded engine and ``speculate`` switches its shard windows
-    to the optimistic rollback protocol (virtual invariants are
-    unaffected either way; sharded legs additionally report a
-    ``shard_metrics`` block with the window stall / rollback counts).
-    Every macro shape also gets an ``<shape>+auto+overlap`` leg — the
-    paper configuration (auto-selected collectives + bucketed gradient
-    overlap) timed on the same executor.
+    (CI); the published baseline uses the default sizes.  ``ranks``
+    replaces the macro shape list with ``<r>-4-16`` entries (the ``repro
+    perf --ranks 16384,65536,262144`` sweep); ``shards`` runs the macro
+    legs on the sharded engine and ``speculate`` switches its shard
+    windows to the optimistic rollback protocol (virtual results are
+    the same on every executor).  Every macro shape also gets an
+    ``<shape>+auto+overlap`` leg — the paper configuration
+    (auto-selected collectives + bucketed gradient overlap) on the same
+    executor.
     """
     if quick:
         micro = {
@@ -395,126 +338,31 @@ def run_perf(
         shapes = tuple(f"{r}-4-16" for r in ranks)
     payload: dict[str, Any] = {
         "benchmark": "sim_vmpi",
-        "protocol": {
-            "repeats": repeats,
-            "timer": "time.perf_counter",
-            "gc": "disabled during timed region",
-            "estimator": "min over repeats (best_s)",
-            "shards": shards,
-            "speculate": speculate,
-        },
-        "micro": {},
+        "micro": {name: _rerun(f"micro/{name}", fn) for name, fn in micro.items()},
         "macro": {},
-        "collectives": {},
-    }
-    for name, fn in micro.items():
-        payload["micro"][name] = _time(fn, repeats)
-    payload["collectives"]["sweep"] = _time(
-        lambda: bench_collectives(coll_spec), repeats
-    )
-    for shape in shapes:
-        legs = {shape: False, f"{shape}+auto+overlap": True}
-        for name, auto_overlap in legs.items():
-            if int(shape.split("-")[0]) > OBS_INTERLEAVE_MAX_RANKS:
-                entry = _time(
-                    lambda s=shape, ao=auto_overlap: bench_macro(
-                        s, shards=shards, speculate=speculate, auto_overlap=ao
-                    ),
-                    repeats,
-                )
-                if shards > 1:
-                    # one untimed obs-attached run just for the shard
-                    # window telemetry (stalls / rollbacks) — these
-                    # shapes skip the timed obs interleave by design
-                    sink: list[Any] = []
-                    bench_macro_obs(
-                        shape,
-                        sink,
-                        shards=shards,
-                        speculate=speculate,
-                        auto_overlap=auto_overlap,
-                    )
-                    entry["shard_metrics"] = shard_metrics_block(sink[-1])
-                payload["macro"][name] = entry
-                continue
-            sink = []
-            entry, obs_entry = _time_interleaved(
-                [
-                    lambda s=shape, ao=auto_overlap: bench_macro(
-                        s, shards=shards, speculate=speculate, auto_overlap=ao
-                    ),
-                    lambda s=shape, ao=auto_overlap: bench_macro_obs(
-                        s, sink, shards=shards, speculate=speculate, auto_overlap=ao
-                    ),
-                ],
-                repeats,
+        "collectives": {
+            "sweep": _rerun(
+                "collectives/sweep", lambda: bench_collectives(coll_spec)
             )
-            if obs_entry["virtual_finish"] != entry["virtual_finish"]:
-                raise AssertionError(
-                    f"obs-attached run changed the timeline for {name}: "
-                    f"{obs_entry['virtual_finish']!r} != "
-                    f"{entry['virtual_finish']!r}"
-                )
-            entry["obs_best_s"] = obs_entry["best_s"]
-            entry["obs_walls_s"] = obs_entry["walls_s"]
-            # Overhead estimate: ratio of the two min-over-rounds walls.
-            # Scheduler/frequency noise only ever *adds* time, so each
-            # leg's minimum converges down onto its intrinsic cost as
-            # rounds accumulate, and interleaving gives both legs equal
-            # exposure to the machine's fast/slow epochs.  (Per-round
-            # pairwise ratios are NOT robust here: one noise spike inside
-            # a single leg of a round swings that round's ratio by tens
-            # of percent.)
-            entry["obs_ratio"] = obs_entry["best_s"] / entry["best_s"]
-            entry["metrics"] = registry_metrics_block(sink[-1])
-            if shards > 1:
-                entry["shard_metrics"] = shard_metrics_block(sink[-1])
+        },
+    }
+    for shape in shapes:
+        metered = int(shape.split("-")[0]) <= METRICS_MAX_RANKS
+        for name, auto_overlap in ((shape, False), (f"{shape}+auto+overlap", True)):
+            kw = dict(shards=shards, speculate=speculate, auto_overlap=auto_overlap)
+            sink: list[Any] = []
+            entry = _rerun(
+                name,
+                lambda: bench_macro(shape, **kw),
+                (lambda: bench_macro_obs(shape, sink, **kw)) if metered else None,
+            )
+            if sink:
+                entry["metrics"] = registry_metrics_block(sink[-1])
             payload["macro"][name] = entry
-    payload["shard_windows"] = _shard_window_report(shapes)
     from repro.harness.serving import serve_payload
 
-    # pure virtual-time sweep (no wall clocks), committed bit-for-bit —
-    # benchmarks/test_serve_saturation.py compares it exactly, unlike
-    # the ratio-gated micro/macro sections
     payload["serve"] = serve_payload(quick=quick)
     return payload
-
-
-SHARD_WINDOW_SHARDS = 4
-
-
-def _shard_window_report(shapes: tuple[str, ...]) -> dict[str, Any]:
-    """Conservative-vs-speculative shard-window telemetry at the largest
-    macro shape (the ISSUE's 262k evidence: the optimistic protocol
-    drops ``window_stalls`` to the actual rollback count with zero
-    result divergence).
-
-    Untimed single runs — the numbers of interest are the window
-    counters, not wall clock.  Rollback counts on the speculative path
-    depend on OS scheduling, so this section is reported in the BENCH
-    json but never baseline-compared (the baseline loops only walk the
-    ``micro``/``macro`` sections).
-    """
-    from repro.sim.shard import ShardPool
-
-    shape = max(shapes, key=lambda s: int(s.split("-")[0]))
-    if not ShardPool.supported() or int(shape.split("-")[0]) < 4 * SHARD_WINDOW_SHARDS:
-        return {"skipped": "fork unavailable or shape too small"}
-    report: dict[str, Any] = {"shape": shape, "shards": SHARD_WINDOW_SHARDS}
-    for mode, speculate in (("conservative", False), ("speculative", True)):
-        sink: list[Any] = []
-        result = bench_macro_obs(
-            shape, sink, shards=SHARD_WINDOW_SHARDS, speculate=speculate
-        )
-        report[mode] = {**result, "shard_metrics": shard_metrics_block(sink[-1])}
-    if report["speculative"]["virtual_finish"] != report["conservative"]["virtual_finish"]:
-        raise AssertionError(
-            "speculative shard windows diverged from the conservative "
-            f"protocol at {shape}: "
-            f"{report['speculative']['virtual_finish']!r} != "
-            f"{report['conservative']['virtual_finish']!r}"
-        )
-    return report
 
 
 def write_bench_json(payload: dict[str, Any], path: str | Path) -> Path:
@@ -525,69 +373,29 @@ def write_bench_json(payload: dict[str, Any], path: str | Path) -> Path:
 
 
 def render_perf_text(payload: dict[str, Any]) -> str:
-    """Render the benchmark payload as an aligned text table."""
-    lines = ["sim/vmpi perf (best of repeats, seconds):"]
-    for section in ("micro", "macro", "collectives"):
+    """Render the benchmark payload's virtual results as text lines."""
+    lines = ["sim/vmpi invariants (each leg run twice, results equal):"]
+    for section in ("micro", "macro"):
         for name, r in payload.get(section, {}).items():
-            if "win_vs_binomial" in r:
+            fields = ", ".join(
+                f"{k}={r[k]!r}"
+                for k in ("virtual_finish", "messages", "events", "bytes", "path")
+                if k in r
+            )
+            lines.append(f"  {section}/{name}: {fields}")
+            if "metrics" in r:
                 lines.append(
-                    f"  {section}/{name} ({r['spec']}): {r['best_s']:.3f}  "
-                    f"[gradsync {r['gradsync_binomial_s']:.3f}s -> "
-                    f"{r['gradsync_overlap_s']:.3f}s, "
-                    f"win {100 * r['win_vs_binomial']:.1f}% vs binomial, "
-                    f"{100 * r['win_vs_serial']:.1f}% vs serial]"
+                    f"    metrics: events={r['metrics']['events_total']}, "
+                    f"peak_heap={r['metrics']['peak_heap_depth']:g}"
                 )
-                continue
-            walls = ", ".join(f"{w:.3f}" for w in r["walls_s"])
-            extra = ""
-            if "virtual_finish" in r:
-                extra = f"  [virtual_finish={r['virtual_finish']!r}"
-                if "messages" in r:
-                    extra += f", messages={r['messages']}"
-                if "path" in r:
-                    extra += f", path={r['path']}"
-                extra += "]"
-            lines.append(f"  {section}/{name}: {r['best_s']:.3f}  ({walls}){extra}")
-            if "shard_metrics" in r:
-                sm = r["shard_metrics"]
-                parts = [
-                    f"{k}={sm[k]:g}"
-                    for k in (
-                        "window_stalls",
-                        "rollbacks",
-                        "speculated_windows",
-                        "commit_depth",
-                    )
-                    if k in sm
-                ]
-                lines.append(f"    shard windows: {', '.join(parts)}")
-            if "obs_best_s" in r:
-                ratio = r.get(
-                    "obs_ratio",
-                    r["obs_best_s"] / r["best_s"] if r["best_s"] else float("inf"),
-                )
-                lines.append(
-                    f"    with obs: {r['obs_best_s']:.3f}  ({ratio:.2f}x, "
-                    f"events={r['metrics']['events_total']}, "
-                    f"peak_heap={r['metrics']['peak_heap_depth']:g})"
-                )
-    sw = payload.get("shard_windows")
-    if sw and "skipped" not in sw:
-        lines.append(f"shard windows ({sw['shape']}, shards={sw['shards']}):")
-        for mode in ("conservative", "speculative"):
-            r = sw[mode]
-            sm = r["shard_metrics"]
-            parts = [
-                f"{k}={sm[k]:g}"
-                for k in (
-                    "window_stalls",
-                    "rollbacks",
-                    "speculated_windows",
-                    "commit_depth",
-                )
-                if k in sm
-            ]
-            lines.append(f"  {mode} (path={r['path']}): {', '.join(parts)}")
+    for name, r in payload.get("collectives", {}).items():
+        lines.append(
+            f"  collectives/{name} ({r['spec']}): "
+            f"gradsync {r['gradsync_binomial_s']:.3f}s -> "
+            f"{r['gradsync_overlap_s']:.3f}s, "
+            f"win {100 * r['win_vs_binomial']:.1f}% vs binomial, "
+            f"{100 * r['win_vs_serial']:.1f}% vs serial"
+        )
     serve = payload.get("serve")
     if serve:
         lines.append(

@@ -5,20 +5,13 @@ a rank-program bug class the rules cover cannot land without either a
 fix or an explicit, justified ``# repro: noqa(...)``.
 """
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis import lint_paths
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-LINTED_TREES = ["src", "examples", "benchmarks", "tests"]
-
-
-@pytest.fixture(scope="module")
-def report():
-    """One walk of the tree serves both tests."""
-    return lint_paths(LINTED_TREES, root=REPO_ROOT)
+@pytest.fixture
+def report(self_lint):
+    """The session's one cold walk of the tree serves both tests."""
+    return self_lint.report
 
 
 def test_repo_lints_clean(report):

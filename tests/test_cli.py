@@ -70,10 +70,43 @@ def test_calibrate_command_runs(capsys):
 def test_perf_rejects_a_bad_shard_count_in_one_line(shards, message):
     """``--shards 0`` used to print a single-shard row as if asked for."""
     with pytest.raises(SystemExit) as exc:
-        main(["perf", "--quick", "--repeats", "1", "--shards", shards])
+        main(["perf", "--quick", "--shards", shards])
     text = str(exc.value)
     assert text.startswith("repro perf: ") and message in text
     assert "\n" not in text
+
+
+@pytest.mark.parametrize(
+    "ranks,bad", [("abc", "'abc'"), ("-4", "'-4'"), ("0", "'0'"), ("4,,x", "''")]
+)
+def test_perf_rejects_a_bad_rank_list_in_one_line(capsys, ranks, bad):
+    """``--ranks abc`` used to be a traceback, and ``--ranks=-4`` said
+    only "invalid literal for int() with base 10: ''"."""
+    assert main(["perf", "--quick", f"--ranks={ranks}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro perf: --ranks {ranks}: {bad} is not a positive rank count\n"
+
+
+def test_perf_repeats_flag_is_gone():
+    """``repro perf`` measures no host time, so there is nothing to repeat."""
+    with pytest.raises(SystemExit) as exc:
+        main(["perf", "--repeats", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "content,reason", [("not json", "Expecting value"), ("[1, 2]", "not a JSON object")]
+)
+def test_perf_serve_json_rejects_an_unusable_target(tmp_path, capsys, content, reason):
+    """``--serve --json --out F`` over a non-JSON or non-object ``F``
+    used to end in a ``JSONDecodeError`` traceback."""
+    target = tmp_path / "bench.json"
+    target.write_text(content)
+    assert main(["perf", "--serve", "--json", "--quick", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro perf: {target}: ") and reason in err
+    assert err.count("\n") == 1
+    assert target.read_text() == content
 
 
 @pytest.mark.parametrize(
