@@ -17,6 +17,7 @@ ranks (Figs 1b / Section VIII "beyond 4096, sub-linear").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.bgq.memory import BGQ_MEMORY, MemoryHierarchy
 from repro.bgq.torus import TorusShape, torus_shape_for_nodes
@@ -126,6 +127,18 @@ class TorusNetworkModel:
         derate = 1.0 + self.congestion_per_node * self.nodes
         return self.link_bandwidth / derate
 
+    def on_node_costs(self, nbytes: Any) -> tuple[Any, Any]:
+        """``(transfer, wire)`` on one node: a shared-memory copy through
+        L2/DDR.  Plain arithmetic: ``nbytes`` may be an integer array."""
+        wire = nbytes / self.memory.intranode_copy_bandwidth
+        return 200e-9 + wire, wire
+
+    def off_node_costs(self, hops: Any, nbytes: Any) -> tuple[Any, Any]:
+        """``(transfer, wire)`` over ``hops`` torus links: router latency
+        per hop plus serialization at the derated link rate (or arrays)."""
+        wire = nbytes / self._effective_bandwidth()
+        return self.base_latency + hops * self.hop_latency + wire, wire
+
     def p2p_time(self, src: int, dst: int, nbytes: int, now: float = 0.0) -> float:
         """Point-to-point transfer time on the torus, including any
         fault-plan link degradation active at ``now``."""
@@ -140,15 +153,9 @@ class TorusNetworkModel:
         else:
             nsrc, ndst = self.node_of(src), self.node_of(dst)
             if nsrc == ndst:
-                # on-node: shared-memory copy through L2/DDR
-                t = 200e-9 + nbytes / self.memory.intranode_copy_bandwidth
+                t = self.on_node_costs(nbytes)[0]
             else:
-                hops = self.torus.hops(nsrc, ndst)
-                t = (
-                    self.base_latency
-                    + hops * self.hop_latency
-                    + nbytes / self._effective_bandwidth()
-                )
+                t = self.off_node_costs(self.torus.hops(nsrc, ndst), nbytes)[0]
         self._p2p_cache[key] = t
         return t
 
@@ -174,9 +181,9 @@ class TorusNetworkModel:
         if src == dst:
             t = 0.0
         elif self.node_of(src) == self.node_of(dst):
-            t = nbytes / self.memory.intranode_copy_bandwidth
-        else:
-            t = nbytes / self._effective_bandwidth()
+            t = self.on_node_costs(nbytes)[1]
+        else:  # link serialization: the same over any hop count
+            t = self.off_node_costs(0, nbytes)[1]
         self._wire_cache[key] = t
         return t
 

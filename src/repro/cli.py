@@ -343,6 +343,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if args.serve:
         return _perf_serve(args)
     ranks = _parse_ranks(args.ranks) if args.ranks is not None else None
+    if args.speculate and args.shards < 2:
+        raise _InputError("--speculate: needs --shards N with N >= 2")
     try:
         payload = run_perf(
             quick=args.quick,
@@ -351,7 +353,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
             speculate=args.speculate,
         )
     except ValueError as exc:  # a shard count the engine rejects
-        raise SystemExit(f"repro perf: {exc}") from None
+        raise _InputError(f"--shards {args.shards}: {exc}") from None
     if args.json:
         out = write_bench_json(payload, args.out or BENCH_FILENAME)
         print(f"wrote {out}")

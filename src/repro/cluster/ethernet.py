@@ -20,6 +20,7 @@ pathologies the torus lacks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["EthernetNetworkModel"]
 
@@ -81,6 +82,18 @@ class EthernetNetworkModel:
         contention = 1.0 + (self.nodes - 1) * (1.0 - self.bisection_factor) / _CONTENTION_NODES
         return self.link_bandwidth / contention
 
+    def on_node_costs(self, nbytes: Any) -> tuple[Any, Any]:
+        """``(transfer, wire)`` on one node (loopback / shared memory).
+        Plain arithmetic: ``nbytes`` may be an integer array."""
+        wire = nbytes / 6e9
+        return 5e-6 + wire, wire
+
+    def off_node_costs(self, hops: Any, nbytes: Any) -> tuple[Any, Any]:
+        """``(transfer, wire)`` between nodes: the flat fabric prices every
+        node pair alike, so ``hops`` is ignored (or arrays)."""
+        wire = nbytes / self._effective_bandwidth()
+        return self.latency + wire, wire
+
     def p2p_time(self, src: int, dst: int, nbytes: int, now: float = 0.0) -> float:
         """End-to-end latency of one message (zero for self-sends)."""
         if nbytes < 0:
@@ -88,8 +101,8 @@ class EthernetNetworkModel:
         if src == dst:
             return 0.0
         if self.node_of(src) == self.node_of(dst):
-            return 5e-6 + nbytes / 6e9  # loopback / shared memory
-        return self.latency + nbytes / self._effective_bandwidth()
+            return self.on_node_costs(nbytes)[0]
+        return self.off_node_costs(0, nbytes)[0]
 
     def injection_time(self, nbytes: int) -> float:
         """TCP send: the CPU copies through the kernel (no DMA offload a
@@ -102,8 +115,8 @@ class EthernetNetworkModel:
         if src == dst:
             return 0.0
         if self.node_of(src) == self.node_of(dst):
-            return nbytes / 6e9
-        return nbytes / self._effective_bandwidth()
+            return self.on_node_costs(nbytes)[1]
+        return self.off_node_costs(0, nbytes)[1]
 
     def collective_params(self) -> tuple[float, float]:
         return self.latency, self._effective_bandwidth()

@@ -28,18 +28,23 @@ Bit-identity discipline (DESIGN.md §6e):
   operation sequence — ``max(t_send + transfer, end_wire) - t_send`` for
   delivery delay, ``(t0 + s) - t0`` for span durations — never an
   algebraically equal rewrite;
-* per-edge message costs come from the network model's *own* scalar
-  ``p2p_time``/``wire_time``/``injection_time`` calls, evaluated once
-  per cost-equivalence class (same-node flag + torus hop count + byte
-  count; same-node flag + byte count on Ethernet) and gathered back
-  over the edge arrays — the formulas are
-  never re-derived in numpy;
+* per-edge message costs come from the network model's *own*
+  formulas: each eligible model states its on-node and off-node
+  ``(transfer, wire)`` once (``on_node_costs``/``off_node_costs``), as
+  arithmetic its scalar ``p2p_time``/``wire_time`` evaluate too, and
+  :func:`_edge_costs` evaluates them over the arrays of edge cost keys
+  (same-node flag or torus hop count) and byte counts — no cost
+  formula is written here;
 * per-rank clock folds follow each rank's program order: the binomial
   tree sweeps process levels in the same ascending (reduce) /
   descending (bcast) mask order the generators execute, a chain's
   send times are the ``cumsum`` left fold of the master's
   ``now + injection`` steps, and per-edge wire-busy state is keyed
   exactly like the scalar scheduler's ``(src, dst)`` map.
+
+A tree level is three strided views — leaves ``m::2m``, parents
+``0:p-m:2m`` and the leaves' wire-busy entries — so :func:`_sweep`
+updates it in place, with no gather or scatter, on every executor.
 """
 
 # repro: spmd-vectorized  (module-wide: per-rank work is array ops; see DET004)
@@ -120,7 +125,8 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
       :class:`UniformNetwork` and
       :class:`~repro.cluster.ethernet.EthernetNetworkModel` are known
       to have p2p costs pure in (same-node flag, hop count, nbytes),
-      the property the class-representative cost tables rely on.
+      the property pricing whole edge arrays from their formulas
+      relies on.
     """
     p = cfg.shape.ranks
     wl = cfg.workload
@@ -165,8 +171,7 @@ def _torus_hops(dims: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
     """Exact torus hop counts between node index arrays ``a`` and ``b``.
 
     Integer-only replica of ``TorusShape.coords`` + per-dimension ring
-    distance; used solely to *classify* edges — the actual costs still
-    come from the model's scalar calls.
+    distance: the ``hops`` operand of the model's ``off_node_costs``.
     """
     total = np.zeros(a.shape, dtype=np.int64)
     rem_a = a.astype(np.int64, copy=True)
@@ -199,50 +204,82 @@ def _edge_keys(network: Any, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def _edge_costs(
-    network: Any,
-    src: np.ndarray,
-    dst: np.ndarray,
-    nbytes: Any,
-    key: np.ndarray,
-    table: dict[tuple[int, int], tuple[float, float]],
+    network: Any, key: np.ndarray, nbytes: Any
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge ``(transfer, wire)`` arrays via the model's own scalar calls.
+    """Per-edge ``(transfer, wire)`` from the model's own formulas, over
+    :func:`_edge_keys` of the edges and a byte count (or one per edge):
+    the arithmetic its scalar ``p2p_time``/``wire_time`` evaluate too,
+    so the arrays equal per-edge scalar pricing bit for bit."""
+    nbytes = np.asarray(nbytes, dtype=np.int64)
+    transfer, wire = network.off_node_costs(key, nbytes)
+    same_node = key < 0
+    if same_node.any():
+        t_on, w_on = network.on_node_costs(nbytes)
+        transfer = np.where(same_node, t_on, transfer)
+        wire = np.where(same_node, w_on, wire)
+    shape = np.broadcast(key, nbytes).shape
+    return np.broadcast_to(transfer, shape), np.broadcast_to(wire, shape)
 
-    Edges are grouped into cost-equivalence classes — ``(key, nbytes)``
-    where ``key`` is the torus hop count (-1 for same-node) or a single
-    class on the uniform model — and one representative edge per class is
-    priced with ``p2p_time``/``wire_time``.  Exact because every eligible
-    model's costs depend only on the class key and the byte count.
 
-    ``key`` is :func:`_edge_keys` of the edges (one array serves every
-    byte size priced over them) and ``table`` the run-wide
-    ``(key, nbytes) -> (transfer, wire)`` memo, so a class is priced once
-    per run however many tree levels it appears on.  Keys are small
-    integers, so a class id is ``key + 1`` — strided by the distinct byte
-    sizes when ``nbytes`` is per-edge — and one scatter into a table that
-    dense finds a representative of every class present with no sort
-    (which edge of a class lands there is immaterial: they cost the same).
-    """
-    sizes = np.asarray(nbytes, dtype=np.int64)
-    cls = key + 1
-    if sizes.ndim:
-        sizes, size_idx = np.unique(sizes, return_inverse=True)
-        cls = cls * len(sizes) + size_idx
-    else:
-        sizes = sizes.reshape(1)
-    n_classes = (int(key.max()) + 2) * len(sizes)
-    rep = np.full(n_classes, -1, dtype=np.int64)
-    rep[cls] = np.arange(len(cls), dtype=np.int64)
-    transfer = np.empty(n_classes, dtype=np.float64)
-    wire = np.empty(n_classes, dtype=np.float64)
-    for c in np.flatnonzero(rep >= 0).tolist():
-        j = rep[c]
-        s, d, b = int(src[j]), int(dst[j]), int(sizes[c % len(sizes)])
-        entry = (int(key[j]), b)
-        if entry not in table:
-            table[entry] = network.p2p_time(s, d, b), network.wire_time(s, d, b)
-        transfer[c], wire[c] = table[entry]
-    return transfer[cls], wire[cls]
+def _level(
+    cur: np.ndarray,
+    busy: np.ndarray,
+    leaves: slice,
+    parents: slice,
+    up: bool,
+    transfer: np.ndarray,
+    wire: np.ndarray,
+    inj: float,
+) -> None:
+    """One tree level in place, replicating the scalar send path
+    float-for-float: ``_delivery_delay``'s wire-busy fold, arrival as
+    ``t_send + max(delay, injection)``, sender charged the injection,
+    receiver resumed at ``max(clock, arrival)``.  Leaves send up to their
+    parents (``up``) or parents down to their leaves; either way the
+    edge's wire-busy entry is the leaf's.  ``leaves``/``parents`` must be
+    slices: the writes go through views, and an index array would
+    silently write into a copy."""
+    snd, rcv = (cur[leaves], cur[parents]) if up else (cur[parents], cur[leaves])
+    end_wire = busy[leaves]
+    np.maximum(end_wire, snd, out=end_wire)
+    end_wire += wire
+    arrival = snd + transfer
+    np.maximum(arrival, end_wire, out=arrival)
+    arrival -= snd  # the delivery delay
+    np.maximum(arrival, inj, out=arrival)
+    arrival += snd
+    np.maximum(rcv, arrival, out=rcv)
+    snd += inj
+
+
+def _sweep(
+    cur: np.ndarray,
+    busy: np.ndarray,
+    costs: list[tuple[np.ndarray, np.ndarray]],
+    inj: float,
+    levels: range,
+    up: bool,
+    lo: int,
+    hi: int,
+    shift: int = 0,
+) -> None:
+    """Tree levels ``levels`` over ranks ``[lo, hi)``: ascending for a
+    reduce (each rank sends to its parent at the level of its lowest set
+    bit), descending for a bcast (each parent sends to its children in
+    descending-mask order) — the order the steps of ``_tree_steps``
+    execute.  Level ``i`` has mask ``1 << (i - shift)`` and per-edge
+    costs ``costs[i]`` (the full tree's, of which a block takes its
+    share); ``shift`` maps the upper levels of the full tree onto a
+    vector of block roots."""
+    for i in levels if up else reversed(levels):
+        m = 1 << (i - shift)
+        # binomial_levels(p) has leaves arange(m, p, 2m) and parents
+        # leaves - m for any p: strided views, offset by a block's start
+        leaves, parents = slice(lo + m, hi, 2 * m), slice(lo, hi - m, 2 * m)
+        j0 = lo // (2 * m)
+        j1 = j0 + len(range(lo + m, hi, 2 * m))
+        transfer, wire = costs[i]
+        _level(cur, busy, leaves, parents, up, transfer[j0:j1], wire[j0:j1], inj)
 
 
 # ----------------------------------------------------------------- executor
@@ -257,11 +294,15 @@ class _VectorRun:
     that *is* its down-tree edge, so :attr:`root_key` maps it to
     ``busy_dn[w]``, and every other ``w`` gets ``busy_dn[p + w]`` — one
     array, one entry per distinct ``(src, dst)`` key, whichever kind of
-    phase touches it.  Kernel
-    operations (tree sweeps, compute charges) go through
-    :attr:`backend` so the sharded runtime can farm out the block-local
-    work (``repro.sim.shard``); everything observable (spans, collective
-    stats, message accounting) stays on the coordinator.
+    phase touches it.  ``cost_sets[i][level]`` is the per-edge
+    ``(transfer, wire)`` of one tree level at stub size ``i`` (sync,
+    loss), shared by both sweep directions; the levels themselves are
+    strided views computed from the mask, so no per-level index array
+    outlives pricing.  Kernel operations (tree sweeps, compute charges)
+    go through :attr:`backend` so the sharded runtime can farm out the
+    block-local work (``repro.sim.shard``); everything observable
+    (spans, collective stats, message accounting) stays on the
+    coordinator.
     """
 
     def __init__(
@@ -290,23 +331,14 @@ class _VectorRun:
         self.root_key = np.where(workers & (workers - 1), p + workers, workers)
         """Index into :attr:`busy_dn` of the edge ``(0, w)``, ``w`` = 1…p−1."""
 
-        self.levels = binomial_levels(p)
-        self.cost_table: dict[tuple[int, int], tuple[float, float]] = {}
-        """Run-wide ``(class key, nbytes) -> (transfer, wire)`` memo."""
-        keys = [_edge_keys(network, s, r) for _, s, r in self.levels]
-        # (transfer, wire) per level, shared by both sweep directions:
-        # every eligible model's costs are symmetric in (src, dst).
+        # (transfer, wire) per tree level, shared by both sweep directions:
+        # every eligible model's costs are symmetric in (src, dst)
+        keys = [_edge_keys(network, lv, pr) for _m, lv, pr in binomial_levels(p)]
         self.cost_sets = [
-            [
-                _edge_costs(network, s, r, nbytes, key, self.cost_table)
-                for (_, s, r), key in zip(self.levels, keys)
-            ]
+            [_edge_costs(network, key, nbytes) for key in keys]
             for nbytes in (_SYNC_BYTES, _LOSS_BYTES)
         ]
-        self.inj_sets = [
-            network.injection_time(_SYNC_BYTES),
-            network.injection_time(_LOSS_BYTES),
-        ]
+        self.inj_sets = [network.injection_time(b) for b in (_SYNC_BYTES, _LOSS_BYTES)]
 
         self.backend: Any = _InlineBackend(self)
         self.phases: list[Callable[[float], tuple[float, Any]]] = []
@@ -372,69 +404,26 @@ class _VectorRun:
             self.charges = list(charged)
 
     # ---------------------------------------------------------- tree kernels
-    def up_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
-        """Ascending-mask reduce sweep over levels ``[lo, hi)``; each rank
-        sends to its parent at the level of its lowest set bit, exactly
-        the order the up steps of ``_tree_steps`` execute."""
-        cur, busy = self.cur, self.busy_up
+    def sweep(self, cost_idx: int, up: bool, lo: int = 0) -> None:
+        """Tree levels ``lo`` and up over the whole rank vector: the
+        reduce's ascending-mask sweep (``up``) or the bcast's
+        descending-mask one, at stub size ``cost_idx``."""
         costs = self.cost_sets[cost_idx]
-        inj = self.inj_sets[cost_idx]
-        sl = slice(lo, hi)
-        for (_m, leaves, parents), (transfer, wire) in zip(
-            self.levels[sl], costs[sl]
-        ):
-            self._level(cur, busy, leaves, parents, leaves, transfer, wire, inj)
-
-    def down_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
-        """Descending-mask bcast sweep over levels ``[lo, hi)`` (indices in
-        ascending-level terms; processed reversed): each parent sends to
-        its children in descending-mask order, as ``_tree_steps`` go down."""
-        cur, busy = self.cur, self.busy_dn
-        costs = self.cost_sets[cost_idx]
-        inj = self.inj_sets[cost_idx]
-        sl = slice(lo, hi)
-        for (_m, leaves, parents), (transfer, wire) in zip(
-            reversed(self.levels[sl]), reversed(costs[sl])
-        ):
-            self._level(cur, busy, parents, leaves, leaves, transfer, wire, inj)
-
-    @staticmethod
-    def _level(
-        cur: np.ndarray,
-        busy: np.ndarray,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        edge_key: np.ndarray,
-        transfer: np.ndarray,
-        wire: np.ndarray,
-        inj: float,
-    ) -> None:
-        """One tree level, replicating the scalar send path float-for-float:
-        ``_delivery_delay``'s wire-busy fold, arrival as
-        ``t_send + max(delay, injection)``, sender charged the injection,
-        receiver resumed at ``max(clock, arrival)``."""
-        t_send = cur[senders]
-        start = np.maximum(busy[edge_key], t_send)
-        end_wire = start + wire
-        busy[edge_key] = end_wire
-        delay = np.maximum(t_send + transfer, end_wire) - t_send
-        arrival = t_send + np.maximum(delay, inj)
-        cur[senders] = t_send + inj
-        cur[receivers] = np.maximum(cur[receivers], arrival)
+        busy = self.busy_up if up else self.busy_dn
+        levels = range(lo, len(costs))
+        _sweep(self.cur, busy, costs, self.inj_sets[cost_idx], levels, up, 0, self.p)
 
     def _root_edge_costs(self, nbytes: Any) -> tuple[np.ndarray, np.ndarray]:
         """``(transfer, wire)`` of the edges ``(0, w)``, ``w`` = 1…p−1."""
-        dst = self.workers
-        src = np.zeros_like(dst)
-        key = _edge_keys(self.network, src, dst)
-        return _edge_costs(self.network, src, dst, nbytes, key, self.cost_table)
+        key = _edge_keys(self.network, np.zeros_like(self.workers), self.workers)
+        return _edge_costs(self.network, key, nbytes)
 
     def _chain(self, inj: Any, transfer: np.ndarray, wire: np.ndarray) -> None:
         """The master sends to ranks 1…p−1 in order and each receives once
         (``_serial_bcast_impl``, and the master load): ``ctx.send`` yields
         each injection time in turn, so the master's clock is the left
         fold ``now + inj`` — which ``cumsum`` is — and message ``w`` leaves
-        at the fold's ``w``-th value; the rest is :meth:`_level`'s send
+        at the fold's ``w``-th value; the rest is :func:`_level`'s send
         path with those send times.  ``inj`` is a scalar or per-edge."""
         cur, busy, key = self.cur, self.busy_dn, self.root_key
         steps = np.empty(self.p, dtype=np.float64)
@@ -676,7 +665,7 @@ class _VectorRun:
             stats.on_bulk(master, workers, self.plan.shard_bytes, 1)
         if self.n_chains:
             stats.on_bulk(master, workers, theta_nbytes, self.n_chains)
-        for _m, leaves, parents in self.levels:
+        for _m, leaves, parents in binomial_levels(p):
             stats.on_bulk(leaves, parents, _SYNC_BYTES, self.n_barriers)
             stats.on_bulk(parents, leaves, _SYNC_BYTES, self.n_barriers)
             if self.n_loss:
@@ -694,13 +683,9 @@ class _InlineBackend:
     def run_op(self, op: tuple) -> None:
         kind = op[0]
         r = self.run
-        if kind == "up":
-            r.up_sweep(op[1])
-        elif kind == "down":
-            r.down_sweep(op[1])
-        elif kind == "add":
-            r.cur += op[1]
-        elif kind == "addv":
+        if kind in ("up", "down"):
+            r.sweep(op[1], kind == "up")
+        elif kind in ("add", "addv"):
             r.cur += op[1]
         elif kind == "cw":
             r.cur[1:] += r.charges[op[1]]

@@ -65,8 +65,8 @@ the phase log) still sees fully-folded state.  Committed values are
 bit-identical to the conservative protocol by construction: every
 commit is validated against exactly the values the conservative fold
 would have read, and the cross fold itself is the same
-``_VectorRun._level`` float sequence applied to the gathered root
-vectors.  Obs surfaces: ``sim.shard.rollbacks`` (validation failures),
+``repro.dist.vectorized._level`` float sequence applied to the gathered
+root vectors.  Obs surfaces: ``sim.shard.rollbacks`` (validation failures),
 ``sim.shard.speculated_windows`` (drained grant windows),
 ``sim.shard.commit_depth`` (ops committed per window — the speculation
 depth the two-barrier protocol never exceeds 1 on); in this mode
@@ -86,6 +86,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.dist.vectorized import _sweep
 from repro.vmpi.costmodel import min_cross_latency
 
 __all__ = ["ShardPool"]
@@ -96,31 +97,27 @@ speculating on its stale export column (see ``optimistic_snapshot``)."""
 
 
 def _local_sweep(run: Any, cost_idx: int, b0: int, b1: int, up: bool) -> None:
-    """Block-local tree levels for the block ``[b0, b1)``.
-
-    Mirrors ``_VectorRun.up_sweep``/``down_sweep`` exactly, restricted
-    to the block's slice of each level's leaf arrays: level mask ``m``
-    strides leaves ``2m`` apart, so the block's leaves occupy indices
-    ``[b0 // 2m, b1 // 2m)`` of the level arrays.
-    """
-    size = b1 - b0
-    n_local = size.bit_length() - 1
-    cur = run.cur
-    busy = run.busy_up if up else run.busy_dn
+    """Block-local tree levels for the block ``[b0, b1)``: the levels of
+    mask ``m < b1 - b0``, over the block's strided views, with the
+    block's share of each level's costs — ``_VectorRun.sweep``
+    restricted to one block."""
     costs = run.cost_sets[cost_idx]
+    busy = run.busy_up if up else run.busy_dn
+    levels = range((b1 - b0).bit_length() - 1)
+    _sweep(run.cur, busy, costs, run.inj_sets[cost_idx], levels, up, b0, b1)
+
+
+def _root_sweep(
+    run: Any, cost_idx: int, n_local: int, cur: np.ndarray, busy: np.ndarray, up: bool
+) -> None:
+    """The cross-shard tree levels (masks ``m >= S = 2**n_local``) over
+    *root space*: ``cur``/``busy`` hold one entry per shard, the state of
+    its block root (rank ``q * S`` -> index ``q``), and level ``m`` of
+    the full tree is level ``m // S`` of the roots."""
+    costs = run.cost_sets[cost_idx]
+    levels = range(n_local, len(costs))
     inj = run.inj_sets[cost_idx]
-    order = range(n_local) if up else range(n_local - 1, -1, -1)
-    for i in order:
-        _m, leaves, parents = run.levels[i]
-        transfer, wire = costs[i]
-        stride = 2 << i
-        j0, j1 = b0 // stride, b1 // stride
-        lv, pr = leaves[j0:j1], parents[j0:j1]
-        t, w = transfer[j0:j1], wire[j0:j1]
-        if up:
-            run._level(cur, busy, lv, pr, lv, t, w, inj)
-        else:
-            run._level(cur, busy, pr, lv, lv, t, w, inj)
+    _sweep(cur, busy, costs, inj, levels, up, 0, len(cur), shift=n_local)
 
 
 def _worker_loop(run: Any, b0: int, b1: int, start_b: Any, end_b: Any) -> None:
@@ -131,10 +128,8 @@ def _worker_loop(run: Any, b0: int, b1: int, start_b: Any, end_b: Any) -> None:
         for op in run.kernel_ops:
             start_b.wait()
             kind = op[0]
-            if kind == "up":
-                _local_sweep(run, op[1], b0, b1, up=True)
-            elif kind == "down":
-                _local_sweep(run, op[1], b0, b1, up=False)
+            if kind in ("up", "down"):
+                _local_sweep(run, op[1], b0, b1, kind == "up")
             elif kind == "add":
                 cur[b0:b1] += op[1]
             elif kind == "addv":
@@ -183,35 +178,26 @@ class _SpecShared:
         self.locks = [ctx.Lock() for _ in range(shards)]
 
 
-def _spec_worker_loop(
-    run: Any, q: int, b0: int, b1: int, sh: _SpecShared, cross: list
-) -> None:
+def _spec_worker_loop(run: Any, q: int, b0: int, b1: int, sh: _SpecShared) -> None:
     """One optimistic-mode shard worker.
 
-    ``cross[cost_idx]`` holds the cross-shard tree levels remapped into
-    *root space* (rank ``i * S`` → index ``i``): ascending-order tuples
-    ``(senders, receivers, transfer, wire)`` whose arrays index the
-    gathered per-shard root vectors.  Every worker folds the full cross
-    schedule privately over the same validated inputs, so the one slot
+    Every worker folds the full cross-shard schedule privately
+    (:func:`_root_sweep`) over the same validated inputs, so the one slot
     each writes back (its own root) is consistent across shards.
     """
     cur, busy_up, busy_dn = run.cur, run.busy_up, run.busy_dn
     shards = sh.committed.shape[0]
-    level = run._level
+    n_local = (b1 - b0).bit_length() - 1
     ctl, epochs, exports, locks = sh.ctl, sh.epochs, sh.exports, sh.locks
 
     def fold_up(ci: int, base: np.ndarray) -> tuple:
         g_cur, g_bup, g_bdn = base[0].copy(), base[1].copy(), base[2].copy()
-        inj = run.inj_sets[ci]
-        for lv, pr, t, w in cross[ci]:
-            level(g_cur, g_bup, lv, pr, lv, t, w, inj)
+        _root_sweep(run, ci, n_local, g_cur, g_bup, up=True)
         return g_cur, g_bup, g_bdn
 
     def fold_down(ci: int, state: tuple) -> None:
         g_cur, _g_bup, g_bdn = state
-        inj = run.inj_sets[ci]
-        for lv, pr, t, w in reversed(cross[ci]):
-            level(g_cur, g_bdn, pr, lv, lv, t, w, inj)
+        _root_sweep(run, ci, n_local, g_cur, g_bdn, up=False)
 
     def optimistic_snapshot(seq: int) -> np.ndarray:
         """Lock-free gather of the peers' export columns.
@@ -373,7 +359,7 @@ class ShardPool:
     is validated and committed.  Must be installed *before*
     :meth:`_VectorRun.execute` and closed afterwards; construction
     rebinds the run's state vectors onto shared memory and forks, so
-    the static schedule (levels, cost tables, compute charges) is
+    the static schedule (cost arrays, compute charges) is
     inherited copy-on-write.
     """
 
@@ -445,23 +431,11 @@ class ShardPool:
             self._drained = 0
             self._rb_seen = 0
             self._shared = _SpecShared(ctx, shards)
-            S = self._block
-            # cross-shard tree levels remapped into root space: rank
-            # i*S -> index i of the gathered per-shard root vectors
-            self._cross = [
-                [
-                    (lv // S, pr // S, t, w)
-                    for (_m, lv, pr), (t, w) in zip(
-                        run.levels[self._n_local :], cs[self._n_local :]
-                    )
-                ]
-                for cs in run.cost_sets
-            ]
             for q in range(shards):
                 b0 = q * self._block
                 proc = ctx.Process(
                     target=_spec_worker_loop,
-                    args=(run, q, b0, b0 + self._block, self._shared, self._cross),
+                    args=(run, q, b0, b0 + self._block, self._shared),
                     daemon=True,
                 )
                 proc.start()
@@ -499,11 +473,11 @@ class ShardPool:
                 c.inc()
             return
         if kind == "down":
-            r.down_sweep(op[1], lo=self._n_local)
+            r.sweep(op[1], False, lo=self._n_local)
         self._start.wait()
         self._end.wait()
         if kind == "up":
-            r.up_sweep(op[1], lo=self._n_local)
+            r.sweep(op[1], True, lo=self._n_local)
         for c in self._op_counters:
             c.inc()
         if self._stalls is not None and kind in ("up", "down"):

@@ -16,7 +16,7 @@ protocol with topology-aware costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class UniformNetwork:
             raise ValueError(f"negative message size {nbytes}")
         if src == dst:
             return 0.0
-        return self.latency + nbytes / self.bandwidth
+        return self.off_node_costs(0, nbytes)[0]
 
     def injection_time(self, nbytes: int) -> float:
         """Sender-side occupancy before the message is on the wire."""
@@ -103,7 +103,14 @@ class UniformNetwork:
         same (src, dst) pair serialize at this rate."""
         if src == dst:
             return 0.0
-        return nbytes / self.bandwidth
+        return self.off_node_costs(0, nbytes)[1]
+
+    def off_node_costs(self, hops: Any, nbytes: Any) -> tuple[Any, Any]:
+        """``(transfer, wire)`` between distinct ranks: topology-blind, so
+        ``hops`` is ignored.  Plain arithmetic: ``nbytes`` may be an
+        integer array."""
+        wire = nbytes / self.bandwidth
+        return self.latency + wire, wire
 
     def collective_params(self) -> tuple[float, float]:
         """(alpha, bandwidth) for closed-form collective costs — on a

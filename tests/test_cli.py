@@ -67,13 +67,21 @@ def test_calibrate_command_runs(capsys):
     "shards,message",
     [("0", "shards must be >= 1, got 0"), ("3", "power of two")],
 )
-def test_perf_rejects_a_bad_shard_count_in_one_line(shards, message):
-    """``--shards 0`` used to print a single-shard row as if asked for."""
-    with pytest.raises(SystemExit) as exc:
-        main(["perf", "--quick", "--shards", shards])
-    text = str(exc.value)
-    assert text.startswith("repro perf: ") and message in text
-    assert "\n" not in text
+def test_perf_rejects_a_bad_shard_count_in_one_line(capsys, shards, message):
+    """``--shards 0`` used to print a single-shard row as if asked for,
+    and ``--shards 3`` exited 1 where every other bad input exits 2."""
+    assert main(["perf", "--quick", "--shards", shards]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro perf: --shards {shards}: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_perf_rejects_speculate_without_shards(capsys):
+    """``--speculate`` alone used to run one process and report
+    ``path='vector'``: there are no shard windows to speculate on."""
+    assert main(["perf", "--quick", "--speculate"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro perf: --speculate: needs --shards N with N >= 2\n"
 
 
 @pytest.mark.parametrize(
