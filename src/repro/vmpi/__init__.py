@@ -6,7 +6,7 @@ Two backends share the package:
   — generator rank programs on the discrete-event engine with a pluggable
   network cost model; scales to thousands of simulated ranks.
 * **Thread backend** (:mod:`repro.vmpi.inprocess`) — blocking API on real
-  OS threads for genuinely parallel small-scale runs.
+  OS threads whose collectives run the DES backend's own schedules.
 """
 
 from repro.vmpi.backend import SpmdResult, run_spmd

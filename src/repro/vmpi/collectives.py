@@ -19,6 +19,7 @@ Each algorithm is stated once, as *schedule data* a pure function builds
 for one rank, and executed by one of two drivers: :func:`_tree_sweep`
 (bcast, the torus line broadcast, reduce, gather) and :func:`_exchange`
 (recursive doubling, ring, Rabenseifner, the torus allreduce).  The
+thread backend (:mod:`repro.vmpi.inprocess`) runs these generators too.  The
 schedules can be inspected without running anything, which is how the
 tests check them against the executed traffic.
 """

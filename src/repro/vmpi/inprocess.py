@@ -16,18 +16,19 @@ The API mirrors :class:`~repro.vmpi.comm.RankCtx` minus the generators:
         else:
             msg = comm.recv(source=0, tag=3)
 
-Collectives here are implemented naively (root-coordinated) — at <= 32
-ranks algorithmic sophistication is irrelevant, and the simple code is
-easy to audit.
+There are no collectives here: each rank runs the generators of
+:mod:`repro.vmpi.collectives` against a view whose p2p blocks on this
+module's mailboxes, so both backends send the same messages with the
+same tags, root checks and fold order.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
+from repro.vmpi import collectives
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG
 from repro.vmpi.ops import SUM, ReduceOp
 
@@ -58,11 +59,39 @@ class _Fabric:
     def __init__(self, size: int) -> None:
         self.size = size
         self.inboxes: list[list[_Envelope]] = [[] for _ in range(size)]
-        self.conds: list[threading.Condition] = [
-            threading.Condition() for _ in range(size)
-        ]
-        self.barrier = threading.Barrier(size)
+        self.conds = [threading.Condition() for _ in range(size)]
         self.failed = threading.Event()
+        self.failures: list[WorkerFailure] = []
+        """In the order the rank programs raised: the first is the culprit."""
+
+
+class _CollectiveView:
+    """The :class:`~repro.vmpi.comm.RankCtx` surface the collectives read,
+    over one rank's blocking p2p.  It is its own ``comm``, whose set
+    ``recv_timeout`` keeps the collectives off their DES-only fast path;
+    its p2p generators return without yielding."""
+
+    coll_stats = collective_checker = coll_policy = network = engine = tracer = None
+
+    def __init__(self, owner: "ThreadRankComm") -> None:
+        self._owner = owner
+        self.comm = self
+        self.rank = owner.rank
+        self.size = owner.size
+        self.recv_timeout = owner.timeout
+        self._coll_seq = 0
+
+    def send(self, dest: int, payload: Any, tag: int = 0) -> Generator:
+        self._owner.send(dest, payload, tag)
+        yield from ()
+
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
+        yield from ()
+        return self._owner.recv(source, tag)
+
+    def sendrecv(self, dest: int, payload: Any, source: int, tag: int = 0) -> Generator:
+        yield from self.send(dest, payload, tag)
+        return (yield from self.recv(source, tag))
 
 
 class ThreadRankComm:
@@ -72,6 +101,7 @@ class ThreadRankComm:
         self._fabric = fabric
         self.rank = rank
         self.timeout = timeout
+        self._view = _CollectiveView(self)
 
     @property
     def size(self) -> int:
@@ -81,7 +111,9 @@ class ThreadRankComm:
     def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Deposit ``payload`` in ``dest``'s inbox and wake its waiters."""
         if not 0 <= dest < self.size:
-            raise ValueError(f"send to invalid rank {dest}")
+            raise ValueError(f"send to invalid rank {dest} (size {self.size})")
+        if tag < 0:
+            raise ValueError(f"send tag must be >= 0, got {tag}")
         cond = self._fabric.conds[dest]
         with cond:
             self._fabric.inboxes[dest].append(_Envelope(self.rank, tag, payload))
@@ -89,22 +121,17 @@ class ThreadRankComm:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _Envelope:
         """Block until a matching envelope arrives; FIFO per (src, tag)."""
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(f"recv from invalid rank {source}")
         cond = self._fabric.conds[self.rank]
         inbox = self._fabric.inboxes[self.rank]
-
-        def find() -> _Envelope | None:
-            for i, env in enumerate(inbox):
-                if (source == ANY_SOURCE or env.src == source) and (
-                    tag == ANY_TAG or env.tag == tag
-                ):
-                    return inbox.pop(i)
-            return None
-
         with cond:
             while True:
-                env = find()
-                if env is not None:
-                    return env
+                for i, env in enumerate(inbox):
+                    if (source == ANY_SOURCE or env.src == source) and (
+                        tag == ANY_TAG or env.tag == tag
+                    ):
+                        return inbox.pop(i)
                 if self._fabric.failed.is_set():
                     raise WorkerFailure(self.rank, RuntimeError("peer failed"))
                 if not cond.wait(timeout=self.timeout):
@@ -114,66 +141,34 @@ class ThreadRankComm:
                     )
 
     # ------------------------------------------------------------ collectives
+    def collective(self, fn: Callable[..., Generator], *args: Any, **kwargs: Any) -> Any:
+        """Run ``fn(view, *args, **kwargs)``, any function of
+        :mod:`repro.vmpi.collectives`, on this rank; returns its result."""
+        gen = fn(self._view, *args, **kwargs)
+        try:
+            while True:
+                next(gen)
+        except StopIteration as done:
+            return done.value
+
+    # The same-named repro.vmpi.collectives functions, run on this rank.
     def barrier(self) -> None:
-        self._fabric.barrier.wait(timeout=self.timeout)
+        self.collective(collectives.barrier)
 
-    def bcast(self, value: Any = None, root: int = 0, tag: int = 900_001) -> Any:
-        """Root sends ``value`` to every rank; all ranks return it."""
-        if self.size == 1:
-            return value
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(dst, value, tag=tag)
-            return value
-        return self.recv(source=root, tag=tag).payload
+    def bcast(self, value: Any = None, root: int = 0) -> Any:
+        return self.collective(collectives.bcast, value, root)
 
-    def gather(self, value: Any, root: int = 0, tag: int = 900_002) -> list[Any] | None:
-        """Collect one value per rank at ``root`` (None elsewhere)."""
-        if self.size == 1:
-            return [value]
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = value
-            for _ in range(self.size - 1):
-                env = self.recv(source=ANY_SOURCE, tag=tag)
-                out[env.src] = env.payload
-            return out
-        self.send(root, value, tag=tag)
-        return None
+    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
+        return self.collective(collectives.gather, value, root)
 
-    def reduce(
-        self, value: Any, op: ReduceOp = SUM, root: int = 0, tag: int = 900_003
-    ) -> Any | None:
-        """Rank-ordered fold at the root (bitwise-reproducible sums)."""
-        if self.size == 1:
-            return value
-        gathered = self.gather(value, root=root, tag=tag)
-        if self.rank != root:
-            return None
-        assert gathered is not None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = op(acc, item)
-        return acc
+    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any | None:
+        return self.collective(collectives.reduce, value, op, root)
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Reduce-to-root then broadcast: every rank gets the reduction."""
-        acc = self.reduce(value, op=op, root=0, tag=900_004)
-        return self.bcast(acc, root=0, tag=900_005)
+        return self.collective(collectives.allreduce, value, op)
 
-    def scatter(self, values: Sequence[Any] | None, root: int = 0, tag: int = 900_006) -> Any:
-        """Root hands ``values[r]`` to each rank r; returns this rank's item."""
-        if self.size == 1:
-            assert values is not None
-            return values[0]
-        if self.rank == root:
-            assert values is not None and len(values) == self.size
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(dst, values[dst], tag=tag)
-            return values[root]
-        return self.recv(source=root, tag=tag).payload
+    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
+        return self.collective(collectives.scatter, values, root)
 
 
 def run_threaded(
@@ -183,8 +178,9 @@ def run_threaded(
 ) -> list[Any]:
     """Run rank programs on real threads; return per-rank results.
 
-    Raises :class:`WorkerFailure` (first failing rank) if any program
-    raises — surviving ranks are unblocked via the failure flag.
+    Raises :class:`WorkerFailure` for the rank whose program raised
+    first if any program raises — surviving ranks are unblocked via the
+    failure flag.
     """
     if callable(program):
         programs = [program] * size
@@ -194,19 +190,17 @@ def run_threaded(
             raise ValueError(f"got {len(programs)} programs for {size} ranks")
     fabric = _Fabric(size)
     results: list[Any] = [None] * size
-    errors: list[WorkerFailure | None] = [None] * size
 
     def runner(rank: int) -> None:
         comm = ThreadRankComm(fabric, rank, timeout=timeout)
         try:
             results[rank] = programs[rank](comm)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
-            errors[rank] = WorkerFailure(rank, exc)
+            fabric.failures.append(WorkerFailure(rank, exc))
             fabric.failed.set()
             for cond in fabric.conds:
                 with cond:
                     cond.notify_all()
-            fabric.barrier.abort()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"vmpi-rank{r}", daemon=True)
@@ -219,7 +213,6 @@ def run_threaded(
         if t.is_alive():
             fabric.failed.set()
             raise TimeoutError(f"thread {t.name} did not finish within {timeout}s")
-    for err in errors:
-        if err is not None:
-            raise err
+    if fabric.failures:
+        raise fabric.failures[0]
     return results

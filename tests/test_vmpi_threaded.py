@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.vmpi import SUM, ThreadRankComm, WorkerFailure, run_threaded
+from repro.vmpi import (
+    SUM,
+    WorkerFailure,
+    ordered_reduce,
+    reduce,
+    run_spmd,
+    run_threaded,
+)
 
 
 def test_p2p_roundtrip():
@@ -37,25 +44,91 @@ def test_collectives(size):
 
 
 def test_reduce_is_rank_ordered():
+    """``ordered_reduce`` folds in rank order on both backends; the
+    tree ``reduce`` does not (see the next test)."""
+    vals = [1e16, 1.0, -1e16, 1.0]
+    expected = ((vals[0] + vals[1]) + vals[2]) + vals[3]
+
+    def des(ctx):
+        out = yield from ordered_reduce(ctx, vals[ctx.rank], SUM, root=0)
+        return out
+
+    def threads(comm):
+        return comm.collective(ordered_reduce, vals[comm.rank], SUM, 0)
+
+    assert run_spmd(4, des).values[0] == expected
+    assert run_threaded(4, threads, timeout=20)[0] == expected
+
+
+def test_thread_reduce_is_the_des_reduce():
+    """Same tree, same fold order: bitwise the same float, which is not
+    the rank-ordered one on this input."""
     vals = [1e16, 1.0, -1e16, 1.0]
 
-    def prog(comm):
-        return comm.reduce(vals[comm.rank], SUM, root=0)
+    def des(ctx):
+        out = yield from reduce(ctx, vals[ctx.rank], SUM, root=0)
+        return out
 
-    results = run_threaded(4, prog, timeout=20)
-    expected = ((vals[0] + vals[1]) + vals[2]) + vals[3]
-    assert results[0] == expected
+    tree = run_spmd(4, des).values[0]
+    got = run_threaded(4, lambda comm: comm.reduce(vals[comm.rank], SUM, root=0), timeout=20)
+    assert got[0].hex() == tree.hex()
+    assert tree != ((vals[0] + vals[1]) + vals[2]) + vals[3]
 
 
 def test_worker_failure_propagates():
+    """Rank 0 only fails because rank 1 did: the report names rank 1."""
+
     def prog(comm):
         if comm.rank == 1:
             raise RuntimeError("worker died")
         # rank 0 blocks on a message that will never come
         comm.recv(source=1, tag=0)
 
-    with pytest.raises(WorkerFailure):
+    with pytest.raises(WorkerFailure) as info:
         run_threaded(2, prog, timeout=20)
+    assert info.value.rank == 1
+    assert type(info.value.cause) is RuntimeError
+    assert str(info.value.cause) == "worker died"
+
+
+def test_send_rejects_negative_tag():
+    """-1 is ANY_TAG; a message carrying it would match every receive."""
+
+    def prog(comm):
+        if comm.rank == 0:
+            with pytest.raises(ValueError, match="tag must be >= 0"):
+                comm.send(1, "x", tag=-1)
+        return True
+
+    assert all(run_threaded(2, prog, timeout=5))
+
+
+def test_recv_rejects_out_of_range_source():
+    def prog(comm):
+        with pytest.raises(ValueError, match="invalid rank 7"):
+            comm.recv(source=7)
+        return True
+
+    assert all(run_threaded(3, prog, timeout=5))
+
+
+def test_out_of_range_root_is_a_value_error_on_every_rank():
+    def prog(comm):
+        with pytest.raises(ValueError, match="root 5 out of range"):
+            comm.bcast("x", root=5)
+        return True
+
+    assert all(run_threaded(3, prog, timeout=5))
+
+
+def test_short_scatter_list_is_a_value_error_at_the_root():
+    def prog(comm):
+        return comm.scatter([1, 2] if comm.rank == 0 else None)
+
+    with pytest.raises(WorkerFailure) as info:
+        run_threaded(3, prog, timeout=5)
+    assert info.value.rank == 0
+    assert isinstance(info.value.cause, ValueError)
 
 
 def test_recv_timeout():
