@@ -1,14 +1,17 @@
 """Distributed Hessian-free training (the paper's Section IV system).
 
-Three cooperating backends over the shared master/worker protocol:
+One master/worker protocol, two machines:
 
-* :mod:`~repro.dist.threaded` — real math on real threads, used for the
-  accuracy-parity experiments;
+* :mod:`~repro.dist.exchange` — the protocol itself: the one worker
+  program and the exchanges that carry work out and results back;
+* :mod:`~repro.dist.threaded` — real math on real threads over that
+  protocol, used for the accuracy-parity experiments;
 * :mod:`~repro.dist.simulated` — the same protocol as DES rank programs
   at 1024-8192 simulated ranks on the BG/Q machine model, used for the
-  paper's timing figures;
+  paper's timing figures (:mod:`~repro.dist.vectorized` replays its
+  phase table as whole-communicator vector phases);
 * :mod:`~repro.dist.partition` — the Section V-C utterance load
-  balancer both backends share.
+  balancer both machines share.
 """
 
 from repro.dist.partition import (
@@ -28,10 +31,10 @@ from repro.dist.script import IterationScript, calibrate_script, default_script
 from repro.dist.simulated import SimJobConfig, SimRunResult, simulate_training
 from repro.dist.threaded import (
     MasterSource,
+    ShardWorker,
     make_frame_shards,
     make_sequence_shards,
     train_threaded_hf,
-    worker_loop,
 )
 from repro.dist.timeline import (
     COLL,
@@ -66,10 +69,10 @@ __all__ = [
     "SimRunResult",
     "simulate_training",
     "MasterSource",
+    "ShardWorker",
     "make_frame_shards",
     "make_sequence_shards",
     "train_threaded_hf",
-    "worker_loop",
     "COLL",
     "COMPUTE",
     "P2P",

@@ -4,16 +4,17 @@ The paper's architecture (Section IV): "a master/worker architecture in
 which worker processes ... perform data-parallel computation of
 gradients and curvature matrix-vector products and the master implements
 the Hessian-free optimization."  Rank 0 is the master; ranks 1..P-1 are
-workers holding utterance shards.
+workers holding utterance shards.  How work and results move is the
+exchange (:mod:`repro.dist.exchange`); this module holds what the real
+workers compute on.
 
-Commands flow master -> workers by broadcast; results flow back by
-gather (rank-ordered fold at the master, so reduced floats are
-independent of thread scheduling).  Curvature mini-samples are *derived,
-not shipped*: the master broadcasts only a seed, and every worker
-recomputes the same global sample with
-:func:`global_frame_sample` / :func:`global_utterance_sample` and keeps
-its intersection — the paper's "the right set of utterances to adhere to
-the randomness needed by the algorithm".
+Curvature mini-samples are *derived, not shipped*: a curvature product's
+work carries only a seed, and every worker recomputes the same global
+sample with :func:`global_sample` and keeps its intersection — the
+paper's "the right set of utterances to adhere to the randomness needed
+by the algorithm".  Both shard kinds give their training batch, held-out
+batch and part of a sample in one shape, so the worker's math is one
+code path for frame and sequence criteria.
 """
 
 from __future__ import annotations
@@ -27,23 +28,13 @@ from repro.nn.losses import SequenceBatchTargets, UtteranceSpan
 from repro.util.rng import spawn
 
 __all__ = [
-    "CMD_GRADIENT",
-    "CMD_CURV_SETUP",
-    "CMD_CURV",
-    "CMD_HELDOUT",
-    "CMD_STOP",
     "FrameShard",
     "SequenceShard",
     "global_frame_sample",
+    "global_sample",
     "global_utterance_sample",
     "sample_size",
 ]
-
-CMD_GRADIENT = "gradient"
-CMD_CURV_SETUP = "curv_setup"
-CMD_CURV = "curv"
-CMD_HELDOUT = "heldout"
-CMD_STOP = "stop"
 
 
 def sample_size(total: int, fraction: float) -> int:
@@ -55,27 +46,39 @@ def sample_size(total: int, fraction: float) -> int:
     return max(1, int(round(fraction * total)))
 
 
-def global_frame_sample(
-    total_frames: int, fraction: float, base_seed: int, sample_seed: int
+def global_sample(
+    total: int, fraction: float, base_seed: int, sample_seed: int
 ) -> np.ndarray:
-    """The frame indices of one curvature mini-sample (sorted).
+    """The ids of one curvature mini-sample (sorted): frames for frame
+    criteria, utterances for sequence criteria.
 
     Identical to :meth:`repro.hf.sources.FrameSource.
-    curvature_sample_indices` by construction — serial and distributed
+    curvature_sample_indices` and :meth:`~repro.hf.sources.SequenceSource.
+    curvature_sample_utterances` by construction — serial and distributed
     runs draw the *same* sample.
     """
-    k = sample_size(total_frames, fraction)
+    k = sample_size(total, fraction)
     rng = spawn(base_seed, "curvature", sample_seed)
-    return np.sort(rng.choice(total_frames, size=k, replace=False))
+    return np.sort(rng.choice(total, size=k, replace=False))
 
 
-def global_utterance_sample(
-    total_utts: int, fraction: float, base_seed: int, sample_seed: int
-) -> np.ndarray:
-    """Utterance-level analogue for sequence criteria."""
-    k = sample_size(total_utts, fraction)
-    rng = spawn(base_seed, "curvature", sample_seed)
-    return np.sort(rng.choice(total_utts, size=k, replace=False))
+global_frame_sample = global_utterance_sample = global_sample
+
+
+def gather_utterances(
+    x: np.ndarray, spans: Sequence[UtteranceSpan], utts: np.ndarray
+) -> tuple[np.ndarray, list[UtteranceSpan]]:
+    """Frames of utterances ``utts`` concatenated, spans rebased onto them."""
+    pieces, rebased = [], []
+    pos = 0
+    for u in utts.tolist():
+        s = spans[u]
+        pieces.append(x[s.start : s.end])
+        length = s.end - s.start
+        rebased.append(UtteranceSpan(pos, pos + length, s.states))
+        pos += length
+    gathered = np.concatenate(pieces, axis=0) if pieces else np.empty((0, x.shape[1]))
+    return gathered, rebased
 
 
 @dataclass
@@ -103,10 +106,25 @@ class FrameShard:
     def n_frames(self) -> int:
         return int(self.x.shape[0])
 
+    def batch(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x, self.targets
+
+    def heldout_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.heldout_x, self.heldout_targets
+
     def sample_rows(self, global_sample: np.ndarray) -> np.ndarray:
         """Local row positions whose global ids are in ``global_sample``."""
         mask = np.isin(self.global_ids, global_sample, assume_unique=False)
         return np.nonzero(mask)[0]
+
+    def sample_batch(
+        self, global_sample: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(x, targets) for the owned rows of the sample, or None."""
+        rows = self.sample_rows(global_sample)
+        if rows.size == 0:
+            return None
+        return self.x[rows], np.asarray(self.targets)[rows]
 
 
 @dataclass
@@ -129,24 +147,18 @@ class SequenceShard:
     def n_frames(self) -> int:
         return int(self.x.shape[0])
 
+    def batch(self) -> tuple[np.ndarray, SequenceBatchTargets]:
+        return self.x, SequenceBatchTargets(tuple(self.spans))
+
+    def heldout_batch(self) -> tuple[np.ndarray, SequenceBatchTargets]:
+        return self.heldout_x, SequenceBatchTargets(tuple(self.heldout_spans))
+
     def sample_batch(
         self, global_sample: np.ndarray
     ) -> tuple[np.ndarray, SequenceBatchTargets] | None:
         """(x, targets) for the owned subset of the sample, or None."""
-        own = [
-            i
-            for i, gid in enumerate(self.global_utt_ids)
-            if gid in set(global_sample.tolist())
-        ]
-        if not own:
+        own = np.nonzero(np.isin(self.global_utt_ids, global_sample))[0]
+        if own.size == 0:
             return None
-        pieces = []
-        rebased = []
-        pos = 0
-        for i in own:
-            s = self.spans[i]
-            pieces.append(self.x[s.start : s.end])
-            length = s.end - s.start
-            rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        return np.concatenate(pieces, axis=0), SequenceBatchTargets(tuple(rebased))
+        xb, rebased = gather_utterances(self.x, self.spans, own)
+        return xb, SequenceBatchTargets(tuple(rebased))

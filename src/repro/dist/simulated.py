@@ -24,7 +24,6 @@ What this reproduces (and what the tests assert):
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,24 +32,17 @@ import numpy as np
 from repro.bgq.kernel import CnkNoise, NoiseModel
 from repro.bgq.network import TorusNetworkModel
 from repro.bgq.node import RunShape
+from repro.dist.exchange import CollectiveExchange, RecoveringExchange, SimWire, worker_program
 from repro.dist.partition import balanced_partition, naive_partition
 from repro.dist.script import IterationScript, Phase, Schedule, default_script
 from repro.dist.timeline import COMPUTE, P2P, RankBreakdown, label, split_breakdown
 from repro.dist.workload import SimWorkload
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultPolicy,
-    FaultRecoveryError,
-    RecoveryLog,
-)
-from repro.sim.engine import Timeout
+from repro.faults import FaultInjector, FaultPlan, FaultPolicy, RecoveryLog
 from repro.sim.trace import Tracer
 from repro.speech.hmm import HmmSpec
 from repro.util.rng import spawn
 from repro.vmpi.algoselect import CollectivePolicy
-from repro.vmpi.collectives import bcast, reduce, serial_bcast
-from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, RankCtx, RecvTimeoutError, VComm
+from repro.vmpi.comm import RankCtx, VComm
 from repro.vmpi.costmodel import NetworkModel, PayloadStub
 
 _log = logging.getLogger(__name__)
@@ -63,6 +55,15 @@ _TAG_WORK0 = 200
 phase gets a unique consecutive tag (kept far below the reserved
 collective band at 1_000_000), so late or duplicate replies can never be
 mistaken for another phase's."""
+
+CURVATURE_JITTER = 0.08
+"""Relative std of per-worker curvature-time variation under frame
+sampling (content mix effects; the paper's Fig. 3 notes the random
+sample "could contribute to the variance")."""
+
+IO_AGGREGATE_BANDWIDTH = 20e9
+"""Filesystem aggregate read bandwidth (B/s) for ``"parallel_io"`` load
+(GPFS-era BG/Q installations: tens of GB/s)."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,6 @@ class SimJobConfig:
     utterance granularity makes one long-utterance worker stall every CG
     product, which is the ablation showing why frame-level sampling (or
     the paper's careful balancing) matters at scale."""
-    curvature_jitter: float = 0.08
-    """Relative std of per-worker curvature-time variation under frame
-    sampling (content mix effects; the paper's Fig. 3 notes the random
-    sample "could contribute to the variance")."""
     load_data_mode: str = "master"
     """How training shards reach workers:
 
@@ -100,12 +97,8 @@ class SimJobConfig:
       which is what actually removes the bottleneck."""
     load_data_fanout: int = 64
     """Group size for ``"staged"`` distribution."""
-    io_aggregate_bandwidth: float = 20e9
-    """Filesystem aggregate read bandwidth for ``"parallel_io"``
-    (GPFS-era BG/Q installations: tens of GB/s)."""
     hmm: HmmSpec = field(default_factory=HmmSpec)
     seed: int = 0
-    segment_bytes: int = 1 << 20
     network: NetworkModel | None = None
     """Defaults to the BG/Q torus for the run shape; the cluster
     comparator passes an Ethernet model instead."""
@@ -149,20 +142,14 @@ class SimJobConfig:
             raise ValueError(
                 f"unknown curvature_sampling {self.curvature_sampling!r}"
             )
-        if self.curvature_jitter < 0:
-            raise ValueError("curvature_jitter must be >= 0")
         if self.bcast_algorithm not in ("binomial", "serial"):
             raise ValueError(f"unknown bcast algorithm {self.bcast_algorithm!r}")
-        if self.segment_bytes < 1:
-            raise ValueError("segment_bytes must be >= 1")
         if self.load_data_mode not in ("master", "staged", "parallel_io"):
             raise ValueError(f"unknown load_data_mode {self.load_data_mode!r}")
         if self.load_data_fanout < 2:
             raise ValueError(
                 f"load_data_fanout must be >= 2: {self.load_data_fanout}"
             )
-        if self.io_aggregate_bandwidth <= 0:
-            raise ValueError("io_aggregate_bandwidth must be > 0")
         if self.collective_selection not in ("fixed", "auto"):
             raise ValueError(
                 f"unknown collective_selection {self.collective_selection!r}"
@@ -357,7 +344,7 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
         rng = spawn(cfg.seed, "sim-curv", it)
         if cfg.curvature_sampling == "frame":
             base = np.maximum(1, np.round(frac * grad_frames)).astype(np.int64)
-            jitter = rng.normal(1.0, cfg.curvature_jitter, size=w)
+            jitter = rng.normal(1.0, CURVATURE_JITTER, size=w)
             frames = np.maximum(
                 1, np.round(base * np.clip(jitter, 0.5, 1.5))
             ).astype(np.int64)
@@ -391,80 +378,18 @@ def _make_programs(
     injector: FaultInjector | None = None,
     recovery: RecoveryLog | None = None,
 ):
-    """Build the per-rank generator programs for one training run.
-
-    One master program and one worker program interpret the run's
-    :class:`~repro.dist.script.Schedule`; how a phase's work reaches the
-    workers and its result comes back is the *exchange*.  With no
-    ``cfg.fault_policy`` that is the synchronous collective protocol
-    (the paper's); with one it is the fault-tolerant master-driven
-    tagged-p2p protocol (DESIGN.md §8), recording every recovery action
-    into ``recovery``.
-    """
+    """Build the per-rank generator programs for one training run: one
+    master program and the shared :func:`~repro.dist.exchange.
+worker_program` interpret the run's :class:`~repro.dist.script.Schedule`
+    over the paper's collective exchange, or with a ``cfg.fault_policy``
+    over the recovering one (DESIGN.md §8), which records every recovery
+    action into ``recovery``."""
     shape = cfg.shape
-    schedule = Schedule(cfg, plan, network, policy)
-    phases = schedule.phases
-    theta_nbytes = cfg.workload.theta_bytes
-    theta = PayloadStub(theta_nbytes, "theta")
-    loss_stub = PayloadStub(16, "loss")
-    seg = cfg.segment_bytes
-
-    def _route(model, nbytes: int) -> tuple[bool, str, float]:
-        """(modeled?, algo label, cost) of one collective: large payloads
-        take the validated closed-form cost; small ones execute the real
-        tree algorithms message-by-message.  The protocol moves two
-        payload sizes, so every routing decision is made once per run."""
-        if nbytes > seg and shape.ranks > 8:
-            return (True, *model(nbytes))
-        return False, "fixed", 0.0
-
-    bcast_route = _route(schedule.bcast_model, theta_nbytes)
-    reduce_route = _route(schedule.reduce_model, theta_nbytes)
-    loss_route = _route(schedule.reduce_model, loss_stub.nbytes)
-    sync_stub = PayloadStub(4, "sync")
-    go_stub = PayloadStub(4, "go")
-
-    def _modeled_collective(
-        ctx: RankCtx, lbl: str, cost: float, op: str = "coll", algo: str = "fixed"
-    ):
-        """Tiny-message barrier (straggler wait stays emergent) followed
-        by the closed-form transfer charge."""
-        stats = ctx.comm.coll_stats
-        t0 = ctx.comm.engine._now
-        yield from reduce(ctx, sync_stub, root=0)
-        yield from bcast(ctx, go_stub if ctx.rank == 0 else None, root=0)
-        if cost > 0:
-            yield float(cost)
-        ctx.record_span(lbl, t0)
-        if stats is not None:
-            stats.log.append((op, algo, ctx.comm.engine._now - t0))
-
-    serial = cfg.bcast_algorithm == "serial"
-
-    def _spanned(ctx: RankCtx, lbl: str, collective):
-        """An executed collective under one span."""
-        t0 = ctx.now
-        yield from collective
-        ctx.record_span(lbl, t0)
-
-    # Both return the generator to delegate to rather than wrapping it: a
-    # ``yield from`` level costs every resume of everything beneath it.
-    def coll_bcast(ctx: RankCtx, lbl: str, payload=None):
-        """Theta from the master (``payload`` is ``None`` on workers)."""
-        fast, algo, cost = bcast_route
-        if serial:
-            return _spanned(ctx, lbl, serial_bcast(ctx, payload, root=0))
-        if fast:
-            return _modeled_collective(ctx, lbl, cost, "bcast", algo)
-        return _spanned(ctx, lbl, bcast(ctx, payload, root=0, segment_bytes=seg))
-
-    def coll_reduce(ctx: RankCtx, lbl: str, payload):
-        """``payload`` — theta or the loss stub — summed onto the master."""
-        fast, algo, cost = loss_route if payload is loss_stub else reduce_route
-        if fast:
-            return _modeled_collective(ctx, lbl, cost, "reduce", algo)
-        return _spanned(ctx, lbl, reduce(ctx, payload, root=0, segment_bytes=seg))
-
+    wire = SimWire(
+        cfg, Schedule(cfg, plan, network, policy), plan, _TAG_WORK0,
+        injector=injector, recovery=recovery,
+    )
+    exchange = CollectiveExchange if cfg.fault_policy is None else RecoveringExchange
     fanout = cfg.load_data_fanout
     mode = cfg.load_data_mode
     total_shard_bytes = float(plan.shard_bytes.sum())
@@ -515,213 +440,17 @@ def _make_programs(
             # total_bytes / aggregate_bandwidth (function-shipped I/O
             # through the I/O nodes, no master relay)
             yield from ctx.compute(
-                total_shard_bytes / cfg.io_aggregate_bandwidth,
+                total_shard_bytes / IO_AGGREGATE_BANDWIDTH,
                 label(COMPUTE, "load_data"),
             )
         else:
             yield from ctx.recv(source=0, tag=_TAG_DATA)
             ctx.record_span(label(P2P, "load_data"), t0)
 
-    class CollectiveExchange:
-        """The paper's protocol: theta down a broadcast, the result up a
-        reduction; every rank walks the phase table in step."""
-
-        def __init__(self, ctx: RankCtx) -> None:
-            self.ctx = ctx
-            self.todo = iter(phases)
-
-        def scatter_gather(self, ph: Phase):
-            """Master: theta out, the reduction back."""
-            yield from coll_bcast(self.ctx, ph.bcast_labels[0], theta)
-            yield from self.reply(ph, None)
-
-        def next_work(self):
-            """Worker: the next phase, once its theta has arrived."""
-            ph = next(self.todo, None)
-            if ph is not None:
-                yield from coll_bcast(self.ctx, ph.bcast_labels[1])
-            return ph
-
-        def reply(self, ph: Phase, secs: float | None):
-            """The phase's reduction, to delegate to; ``secs`` is the
-            gradient compute just charged (``None`` on the master)."""
-            if ph.reduce != "overlap":
-                return coll_reduce(
-                    self.ctx, ph.reduce_label,
-                    theta if ph.reduce == "theta" else loss_stub,
-                )
-            # full gradient compute already charged; the bucketed
-            # pipeline leaves only the exposed communication
-            cost = schedule.master_exposed if secs is None else schedule.exposed(secs)
-            return _modeled_collective(
-                self.ctx, ph.reduce_label, cost, "reduce", schedule.grad_algo
-            )
-
-        def finish(self):
-            """Nothing to tear down: the table's end is the run's end."""
-            return ()
-
-    # Master-driven tagged p2p (DESIGN.md §8): every phase (gradient, one
-    # CG product, one held-out eval) gets a unique tag; the master sends
-    # work to each live worker and collects replies under that tag with a
-    # bounded timeout/retry/backoff loop.  Strict phases exclude workers
-    # that stay silent through all retries; quorum phases (CG) proceed
-    # once ``pol.cg_quorum`` of the live set replied, keeping stragglers
-    # in the protocol.  Work payloads are PayloadStubs whose ``kind``
-    # string (the phase's wire name, or "shutdown") tells the worker
-    # what to compute and charge.
-    pol = cfg.fault_policy
-    shutdown_stub = PayloadStub(4, "shutdown")
-    lbl_collect = label(P2P, "ft_collect")
-    lbl_restart = label(COMPUTE, "master_restart")
-    total_frames = float(plan.grad_frames.sum())
-    by_name = {ph.name: ph for ph in phases}
-
-    class RecoveringExchange:
-        """The same two programs over a transport that survives faults."""
-
-        def __init__(self, ctx: RankCtx) -> None:
-            self.ctx = ctx
-            if ctx.rank == 0:  # the live set is the master's alone: O(p)
-                self.tag = _TAG_WORK0  # the next phase's
-                self.live = list(range(1, shape.ranks))
-                self.lost_frames = 0.0
-                self.restart_at = (
-                    injector.master_crash_time() if injector is not None else None
-                )
-            else:
-                self.tag = -1  # of the work last answered
-                self.last_reply = loss_stub
-
-        def scatter_gather(self, ph: Phase):
-            """Send ``ph`` to every live worker under a fresh tag and
-            collect the replies (all of them, or the CG quorum)."""
-            ctx, live = self.ctx, self.live
-            if (
-                ph.opens_iteration
-                and self.restart_at is not None
-                and ctx.now >= self.restart_at
-            ):
-                # Fail-stop master: model the respawn reloading the last
-                # iteration-boundary checkpoint (util.checkpoint format)
-                # and replaying nothing — iteration-granular recovery.
-                self.restart_at = None
-                yield from ctx.compute(pol.restart_seconds, lbl_restart)
-                recovery.add(
-                    ctx.now, "master_restart", 0,
-                    f"checkpoint-restart resumed before iteration "
-                    f"{ph.iteration} ({pol.restart_seconds:g}s modeled reload)",
-                )
-            what = ph.name
-            payload = PayloadStub(theta_nbytes, what)
-            t0 = ctx.now
-            tag = self.tag
-            self.tag += 1
-            for w in live:
-                yield from ctx.send(w, payload, tag=tag)
-            needed = (
-                len(live) if ph.strict
-                else max(1, math.ceil(pol.cg_quorum * len(live)))
-            )
-            replied: set[int] = set()
-            retries = 0
-            timeout = pol.recv_timeout
-            while len(replied) < needed:
-                try:
-                    msg = yield from ctx.recv(
-                        source=ANY_SOURCE, tag=tag, timeout=timeout
-                    )
-                except RecvTimeoutError as err:
-                    missing = [w for w in live if w not in replied]
-                    # err carries the (source, tag) the wait was for —
-                    # the structured fields the bugfix attached
-                    recovery.add(
-                        ctx.now, "timeout", 0,
-                        f"{what} tag={err.tag} after {err.timeout:g}s "
-                        f"missing={missing}",
-                    )
-                    if retries >= pol.max_retries:
-                        break
-                    retries += 1
-                    timeout *= pol.backoff
-                    recovery.add(
-                        ctx.now, "retry", 0,
-                        f"{what} resend to {missing} "
-                        f"next_timeout={timeout:g}",
-                    )
-                    for w in missing:
-                        yield from ctx.send(w, payload, tag=tag)
-                    continue
-                if msg.src not in replied:
-                    replied.add(msg.src)
-            if len(replied) < needed:
-                missing = [w for w in live if w not in replied]
-                if ph.strict:
-                    for w in missing:
-                        live.remove(w)
-                        self.lost_frames += float(plan.grad_frames[w - 1])
-                        recovery.add(
-                            ctx.now, "exclude", w,
-                            f"silent through {retries} retries of {what}",
-                        )
-                        # best-effort: a straggler (not dead) that wakes up
-                        # later must drain to this and exit
-                        yield from ctx.send(w, shutdown_stub, tag=tag)
-                    if not live:
-                        raise FaultRecoveryError(
-                            f"all workers dead at {what} (t={ctx.now:g})"
-                        )
-                    surviving = total_frames - self.lost_frames
-                    recovery.add(
-                        ctx.now, "renormalize", 0,
-                        f"gradient weight over {surviving:.0f}/"
-                        f"{total_frames:.0f} surviving frames",
-                    )
-                else:
-                    if not replied:
-                        raise FaultRecoveryError(
-                            f"no quorum for {what}: zero replies "
-                            f"(t={ctx.now:g})"
-                        )
-                    recovery.add(
-                        ctx.now, "partial", 0,
-                        f"{what} proceeding with {len(replied)}/{needed} "
-                        "GN-sample workers",
-                    )
-            ctx.record_span(lbl_collect, t0)
-
-        def next_work(self):
-            """Worker: the next fresh phase; a duplicate (a master retry
-            that crossed our reply) gets the cached reply retransmitted,
-            not recomputed; ``None`` on shutdown."""
-            ctx = self.ctx
-            while True:
-                msg = yield from ctx.recv(source=0, tag=ANY_TAG, timeout=None)
-                kind = msg.payload.kind
-                if kind == "shutdown":
-                    return None
-                if msg.tag == self.tag:
-                    yield from ctx.send(0, self.last_reply, tag=msg.tag)
-                    continue
-                self.tag = msg.tag
-                return by_name[kind]
-
-        def reply(self, ph: Phase, secs: float | None):
-            """Worker: the answer, under the tag the work arrived on."""
-            self.last_reply = loss_stub if ph.reduce == "loss" else theta
-            return self.ctx.send(0, self.last_reply, tag=self.tag)
-
-        def finish(self):
-            """Master: release the surviving workers."""
-            for w in self.live:
-                yield from self.ctx.send(w, shutdown_stub, tag=self.tag)
-
-    exchange = CollectiveExchange if pol is None else RecoveringExchange
-
     def master_program(ctx: RankCtx):
         yield from master_load(ctx)
-        ex = exchange(ctx)
-        for ph in phases:
+        ex = exchange(ctx, wire)
+        for ph in wire.phases:
             yield from ex.scatter_gather(ph)
             if ph.master_label is not None:
                 yield from ctx.compute(ph.master_secs, ph.master_label)
@@ -729,19 +458,20 @@ def _make_programs(
         return ctx.now
 
     def make_worker(widx: int) -> Callable:
-        def worker_program(ctx: RankCtx):
+        def program(ctx: RankCtx):
             rng = spawn(cfg.seed, "noise", widx)
-            yield from worker_load(ctx, widx)
-            ex = exchange(ctx)
+
             # one perturb per compute charge, in program order: the rng
             # draw sequence is what every simulated time hangs on
-            while (ph := (yield from ex.next_work())) is not None:
+            def compute(ph: Phase):
                 secs = cfg.noise.perturb(float(ph.worker_secs[widx]), rng)
-                yield from ctx.compute(secs, ph.compute_label)
-                yield from ex.reply(ph, secs)
+                return ctx.compute(secs, ph.compute_label), secs
+
+            yield from worker_load(ctx, widx)
+            yield from worker_program(exchange(ctx, wire), compute)
             return ctx.now
 
-        return worker_program
+        return program
 
     return [master_program] + [make_worker(w) for w in range(cfg.n_workers)]
 

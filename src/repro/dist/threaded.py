@@ -2,9 +2,13 @@
 
 This backend runs the *actual* Algorithm-1 optimizer on rank 0 while
 worker ranks hold utterance shards and answer gradient / curvature /
-held-out requests — the full master/worker protocol of Section IV with
-genuine data parallelism (numpy's GEMMs release the GIL, so worker
-compute overlaps on multicore hosts).
+held-out work — the master/worker protocol of Section IV with genuine
+data parallelism (numpy's GEMMs release the GIL, so worker compute
+overlaps on multicore hosts).
+
+Workers run the simulator's own :func:`~repro.dist.exchange.
+worker_program` over a :class:`~repro.dist.exchange.ThreadExchange`,
+with a :class:`ShardWorker` as the compute callback (DESIGN.md §2a).
 
 The master-side :class:`MasterSource` implements
 :class:`~repro.hf.types.HFDataSource`, so the optimizer code is the
@@ -15,24 +19,14 @@ identical seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.dist.exchange import ThreadExchange, worker_program
 from repro.dist.partition import Assignment, balanced_partition
-from repro.dist.protocol import (
-    CMD_CURV,
-    CMD_CURV_SETUP,
-    CMD_GRADIENT,
-    CMD_HELDOUT,
-    CMD_STOP,
-    FrameShard,
-    SequenceShard,
-    global_frame_sample,
-    global_utterance_sample,
-    sample_size,
-)
+from repro.dist.protocol import FrameShard, SequenceShard, gather_utterances, global_sample
 from repro.hf.optimizer import HessianFreeOptimizer
 from repro.hf.types import HFConfig, HFResult
 from repro.nn.gauss_newton import GaussNewtonOperator
@@ -41,180 +35,132 @@ from repro.nn.network import DNN
 from repro.util.logging import RunLog
 from repro.vmpi.inprocess import ThreadRankComm, run_threaded
 
-__all__ = ["MasterSource", "worker_loop", "make_frame_shards", "make_sequence_shards", "train_threaded_hf"]
+__all__ = [
+    "MasterSource", "ShardWorker", "Work",
+    "make_frame_shards", "make_sequence_shards", "train_threaded_hf",
+]
+
+
+@dataclass(frozen=True)
+class Work:
+    """One exchange: every worker runs ``compute`` (a :class:`ShardWorker`
+    method) on ``args``; ``zero`` is the master's term of the sum."""
+
+    compute: Callable[..., tuple]
+    args: tuple
+    zero: tuple
 
 
 @dataclass
 class MasterSource:
-    """Master-side HFDataSource that fans work out over a communicator."""
+    """Master-side HFDataSource: every call is one exchange."""
 
     comm: ThreadRankComm
     total_train_frames: int
-    total_heldout_frames: int
-    curvature_fraction: float
-    curvature_total: int
-    """Sampling universe size: total frames (CE) or utterances (MMI)."""
-    seed: int
+    _theta: np.ndarray | None = field(default=None, init=False, repr=False)
+    """Theta of the last gradient: where the workers' curvature lives."""
 
-    def _collect(self) -> list:
-        parts = self.comm.gather(None, root=0)
-        assert parts is not None
-        return parts[1:]  # drop the master's own placeholder
+    def _collect(self, work: Work) -> tuple:
+        """The one place the master blocks on workers: ``work`` out, the
+        summed results back."""
+        return self.comm.collective(lambda ctx: ThreadExchange(ctx).scatter_gather(work))
 
     def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray, int]:
-        """Broadcast theta, sum worker loss/gradient shards."""
-        self.comm.bcast((CMD_GRADIENT, theta), root=0)
-        loss_sum = 0.0
-        grad = np.zeros_like(theta)
-        frames = 0
-        for part_loss, part_grad, part_n in self._collect():
-            loss_sum += part_loss
-            grad += part_grad
-            frames += part_n
+        """Summed loss, gradient and frame count over every shard."""
+        loss_sum, grad, frames = self._collect(
+            Work(ShardWorker.gradient, (theta,), (0.0, np.zeros_like(theta), 0))
+        )
         if frames != self.total_train_frames:
             raise RuntimeError(
                 f"workers reported {frames} frames, expected "
                 f"{self.total_train_frames} — shard assignment is broken"
             )
+        self._theta = theta
         return loss_sum, grad, frames
 
     def curvature_operator(
         self, theta: np.ndarray, lam: float, sample_seed: int
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """Distributed damped Gauss-Newton operator: each apply fans a
-        vector out to workers and sums their curvature products."""
-        self.comm.bcast((CMD_CURV_SETUP, theta, sample_seed), root=0)
-        k = sample_size(self.curvature_total, self.curvature_fraction)
-        setup = self._collect()  # workers ack with their sampled frame counts
-        sampled_frames = sum(setup)
+        """Distributed damped Gauss-Newton operator: each apply is one
+        exchange of ``(v, sample_seed)``; the workers' products and
+        sampled-frame counts come back summed."""
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            raise ValueError(
+                "curvature_operator needs the theta of the last gradient "
+                "call: workers build their Gauss-Newton operators there"
+            )
 
         def op(v: np.ndarray) -> np.ndarray:
-            self.comm.bcast((CMD_CURV, v), root=0)
-            gv = np.zeros_like(v)
-            for part in self._collect():
-                gv += part
-            return gv / max(sampled_frames, 1) + lam * v
+            gv, frames = self._collect(
+                Work(ShardWorker.curvature, (v, sample_seed), (np.zeros_like(v), 0))
+            )
+            op.sample_size = frames  # type: ignore[attr-defined]
+            return gv / max(frames, 1) + lam * v
 
-        op.sample_frames = sampled_frames  # type: ignore[attr-defined]
-        op.sample_units = k  # type: ignore[attr-defined]
         return op
 
     def heldout_loss(self, theta: np.ndarray) -> tuple[float, int]:
-        """Broadcast theta, sum worker held-out loss shards."""
-        self.comm.bcast((CMD_HELDOUT, theta), root=0)
-        loss_sum = 0.0
-        frames = 0
-        for part_loss, part_n in self._collect():
-            loss_sum += part_loss
-            frames += part_n
-        return loss_sum, frames
+        """Summed held-out loss and frame count over every shard."""
+        return self._collect(Work(ShardWorker.heldout, (theta,), (0.0, 0)))
 
     def stop(self) -> None:
-        self.comm.bcast((CMD_STOP,), root=0)
+        self.comm.collective(lambda ctx: ThreadExchange(ctx).finish())
 
 
-def worker_loop(
-    comm: ThreadRankComm,
-    net: DNN,
-    loss: Loss,
-    shard: FrameShard | SequenceShard,
-    curvature_fraction: float,
-    curvature_total: int,
-    seed: int,
-) -> int:
-    """Serve master commands until ``stop``; returns commands served."""
-    op: GaussNewtonOperator | None = None
-    served = 0
-    while True:
-        cmd = comm.bcast(None, root=0)
-        served += 1
-        kind = cmd[0]
-        if kind == CMD_STOP:
-            return served
-        if kind == CMD_GRADIENT:
-            theta = cmd[1]
-            value, grad, n = _shard_gradient(net, loss, shard, theta)
-            comm.gather((value, grad, n), root=0)
-        elif kind == CMD_CURV_SETUP:
-            theta, sample_seed = cmd[1], cmd[2]
-            op, n_sampled = _shard_curvature_setup(
-                net, loss, shard, theta, curvature_fraction, curvature_total,
-                seed, sample_seed,
-            )
-            comm.gather(n_sampled, root=0)
-        elif kind == CMD_CURV:
-            v = cmd[1]
-            gv = op(v) if op is not None else np.zeros_like(v)
-            comm.gather(gv, root=0)
-        elif kind == CMD_HELDOUT:
-            theta = cmd[1]
-            value, n = _shard_heldout(net, loss, shard, theta)
-            comm.gather((value, n), root=0)
-        else:
-            raise ValueError(f"unknown command {kind!r}")
+class ShardWorker:
+    """One worker's shard math: the compute callback of
+    :func:`~repro.dist.exchange.worker_program` on real threads."""
 
+    def __init__(
+        self, net: DNN, loss: Loss, shard: FrameShard | SequenceShard,
+        curvature_fraction: float, curvature_total: int, seed: int,
+    ) -> None:
+        self.net, self.loss, self.shard = net, loss, shard
+        self.sample_args = (curvature_total, curvature_fraction, seed)
+        self.theta: np.ndarray | None = None
+        """Theta of the last gradient work."""
+        self.gn: tuple[int, GaussNewtonOperator | None] | None = None
+        """``(sample_seed, raw operator)`` built at :attr:`theta`."""
 
-# -------------------------------------------------------------- shard math
-def _shard_gradient(net, loss, shard, theta):
-    if isinstance(shard, FrameShard):
-        if shard.n_frames == 0:
+    def __call__(self, work: Work) -> tuple[tuple, Any]:
+        return (), work.compute(self, *work.args)
+
+    def serve(self, comm: ThreadRankComm) -> None:
+        """Answer the master's work until it finishes."""
+        comm.collective(lambda ctx: worker_program(ThreadExchange(ctx), self))
+
+    def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray, int]:
+        """Loss, gradient and frame count on this shard; a new theta
+        drops the curvature operator built at the last one."""
+        self.theta, self.gn = theta, None
+        if self.shard.n_frames == 0:
             return 0.0, np.zeros_like(theta), 0
-        value, grad = net.loss_and_grad(theta, shard.x, loss, shard.targets)
-        return value, grad, shard.n_frames
-    from repro.nn.losses import SequenceBatchTargets
+        x, targets = self.shard.batch()
+        value, grad = self.net.loss_and_grad(theta, x, self.loss, targets)
+        return value, grad, self.shard.n_frames
 
-    if not shard.spans:
-        return 0.0, np.zeros_like(theta), 0
-    targets = SequenceBatchTargets(tuple(shard.spans))
-    value, grad = net.loss_and_grad(theta, shard.x, loss, targets)
-    return value, grad, shard.n_frames
+    def curvature(self, v: np.ndarray, sample_seed: int) -> tuple[np.ndarray, int]:
+        """Raw (unnormalized, undamped) G-product on this shard's part of
+        the sample, and that part's frame count."""
+        if self.gn is None or self.gn[0] != sample_seed:
+            batch = self.shard.sample_batch(global_sample(*self.sample_args, sample_seed))
+            op = None if batch is None else GaussNewtonOperator(
+                net=self.net, theta=self.theta, x=batch[0], loss=self.loss,
+                targets=batch[1], lam=0.0, normalizer=1.0,
+            )
+            self.gn = (sample_seed, op)
+        op = self.gn[1]
+        if op is None:
+            return np.zeros_like(v), 0
+        return op(v), op.sample_size
 
-
-def _shard_curvature_setup(
-    net, loss, shard, theta, fraction, total, base_seed, sample_seed
-):
-    """Build this worker's raw (unnormalized, undamped) G-product op."""
-    if isinstance(shard, FrameShard):
-        sample = global_frame_sample(total, fraction, base_seed, sample_seed)
-        rows = shard.sample_rows(sample)
-        if rows.size == 0:
-            return None, 0
-        op = GaussNewtonOperator(
-            net=net,
-            theta=theta,
-            x=shard.x[rows],
-            loss=loss,
-            targets=np.asarray(shard.targets)[rows],
-            lam=0.0,
-            normalizer=1.0,
-        )
-        return op, int(rows.size)
-    sample = global_utterance_sample(total, fraction, base_seed, sample_seed)
-    batch = shard.sample_batch(sample)
-    if batch is None:
-        return None, 0
-    xb, tb = batch
-    op = GaussNewtonOperator(
-        net=net, theta=theta, x=xb, loss=loss, targets=tb, lam=0.0, normalizer=1.0
-    )
-    return op, tb.n_frames
-
-
-def _shard_heldout(net, loss, shard, theta):
-    if isinstance(shard, FrameShard):
-        if shard.heldout_x.shape[0] == 0:
+    def heldout(self, theta: np.ndarray) -> tuple[float, int]:
+        """Held-out loss and frame count on this shard."""
+        x, targets = self.shard.heldout_batch()
+        if x.shape[0] == 0:
             return 0.0, 0
-        value, _ = net.loss_and_grad(
-            theta, shard.heldout_x, loss, shard.heldout_targets
-        )
-        return value, shard.heldout_x.shape[0]
-    from repro.nn.losses import SequenceBatchTargets
-
-    if not shard.heldout_spans:
-        return 0.0, 0
-    targets = SequenceBatchTargets(tuple(shard.heldout_spans))
-    value, _ = net.loss_and_grad(theta, shard.heldout_x, loss, targets)
-    return value, shard.heldout_x.shape[0]
+        value, _ = self.net.loss_and_grad(theta, x, self.loss, targets)
+        return value, int(x.shape[0])
 
 
 # ----------------------------------------------------------- shard builders
@@ -263,22 +209,6 @@ def make_frame_shards(
     return shards
 
 
-def _gather_utterances(
-    x: np.ndarray, spans: Sequence[UtteranceSpan], utts: np.ndarray
-) -> tuple[np.ndarray, list[UtteranceSpan]]:
-    """Frames of utterances ``utts`` concatenated, spans rebased onto them."""
-    pieces, rebased = [], []
-    pos = 0
-    for u in utts.tolist():
-        s = spans[u]
-        pieces.append(x[s.start : s.end])
-        length = s.end - s.start
-        rebased.append(UtteranceSpan(pos, pos + length, s.states))
-        pos += length
-    gathered = np.concatenate(pieces, axis=0) if pieces else np.empty((0, x.shape[1]))
-    return gathered, rebased
-
-
 def make_sequence_shards(
     x: np.ndarray,
     spans: Sequence[UtteranceSpan],
@@ -299,8 +229,8 @@ def make_sequence_shards(
     shards = []
     for w in range(n_workers):
         utts = order[bounds[w] : bounds[w + 1]]
-        sx, rebased = _gather_utterances(x, spans, utts)
-        hx, h_rebased = _gather_utterances(
+        sx, rebased = gather_utterances(x, spans, utts)
+        hx, h_rebased = gather_utterances(
             heldout_x, heldout_spans, h_order[h_bounds[w] : h_bounds[w + 1]]
         )
         shards.append(
@@ -332,37 +262,22 @@ def train_threaded_hf(
     if n_workers < 1:
         raise ValueError("need at least one worker shard")
     total_train = sum(s.n_frames for s in shards)
-    total_heldout = sum(
-        s.heldout_x.shape[0] for s in shards
-    )
     if isinstance(shards[0], FrameShard):
         curvature_total = total_train
     else:
         curvature_total = sum(len(s.spans) for s in shards)
 
     def master_program(comm: ThreadRankComm) -> HFResult:
-        source = MasterSource(
-            comm=comm,
-            total_train_frames=total_train,
-            total_heldout_frames=total_heldout,
-            curvature_fraction=curvature_fraction,
-            curvature_total=curvature_total,
-            seed=seed,
-        )
+        source = MasterSource(comm, total_train)
         opt = HessianFreeOptimizer(source, config, log=log)
         try:
             return opt.run(theta0)
         finally:
             source.stop()
 
-    def make_worker(shard):
-        def program(comm: ThreadRankComm) -> int:
-            return worker_loop(
-                comm, net, loss, shard, curvature_fraction, curvature_total, seed
-            )
-
-        return program
-
-    programs = [master_program] + [make_worker(s) for s in shards]
-    results = run_threaded(n_workers + 1, programs, timeout=timeout)
+    workers = [
+        ShardWorker(net, loss, s, curvature_fraction, curvature_total, seed).serve
+        for s in shards
+    ]
+    results = run_threaded(n_workers + 1, [master_program] + workers, timeout=timeout)
     return results[0]

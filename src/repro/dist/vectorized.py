@@ -60,7 +60,9 @@ import numpy as np
 from repro.bgq.kernel import CnkNoise, LinuxJitter
 from repro.bgq.network import TorusNetworkModel
 from repro.cluster.ethernet import EthernetNetworkModel
+from repro.dist.exchange import SEGMENT_BYTES
 from repro.dist.script import Schedule
+from repro.dist.simulated import IO_AGGREGATE_BANDWIDTH
 from repro.dist.timeline import COMPUTE, P2P, label
 from repro.sim.engine import VectorPhase
 from repro.util.rng import spawn
@@ -116,10 +118,8 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
       sized draw per worker; any other model's use of its rng is
       unknown, and under ``overlap_gradient`` the jittered gradient
       time also feeds each rank's exposed-communication charge;
-    * ``segmented_control`` — ``segment_bytes < 16`` would segment the
-      4/16-byte control payloads inside the tree algorithms;
     * ``small_comm`` — the theta fast path needs ``ranks > 8``;
-    * ``theta_not_fast_path`` — ``theta_bytes <= segment_bytes`` makes
+    * ``theta_not_fast_path`` — ``theta_bytes <= SEGMENT_BYTES`` makes
       theta collectives execute message-by-message;
     * ``network_model`` — only :class:`TorusNetworkModel`,
       :class:`UniformNetwork` and
@@ -142,11 +142,9 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
         type(cfg.noise) is not LinuxJitter or cfg.overlap_gradient
     ):
         return "noise_model"
-    if cfg.segment_bytes < _LOSS_BYTES:
-        return "segmented_control"
     if p <= 8:
         return "small_comm"
-    if wl.theta_bytes <= cfg.segment_bytes:
+    if wl.theta_bytes <= SEGMENT_BYTES:
         return "theta_not_fast_path"
     if type(network) not in (
         TorusNetworkModel,
@@ -450,7 +448,7 @@ class _VectorRun:
     def _load_phase(self) -> Callable[[float], tuple[float, Any]]:
         cfg = self.cfg
         if cfg.load_data_mode == "parallel_io":
-            io_secs = float(self.plan.shard_bytes.sum()) / cfg.io_aggregate_bandwidth
+            io_secs = float(self.plan.shard_bytes.sum()) / IO_AGGREGATE_BANDWIDTH
             lbl = label(COMPUTE, "load_data")
             self.phase_labels.append(lbl)
 

@@ -120,7 +120,7 @@ def _root_sweep(
     _sweep(cur, busy, costs, inj, levels, up, 0, len(cur), shift=n_local)
 
 
-def _worker_loop(run: Any, b0: int, b1: int, start_b: Any, end_b: Any) -> None:
+def _shard_loop(run: Any, b0: int, b1: int, start_b: Any, end_b: Any) -> None:
     """One conservative-mode shard worker: replay the static kernel
     schedule on one block between the coordinator's op barriers."""
     cur = run.cur
@@ -178,7 +178,7 @@ class _SpecShared:
         self.locks = [ctx.Lock() for _ in range(shards)]
 
 
-def _spec_worker_loop(run: Any, q: int, b0: int, b1: int, sh: _SpecShared) -> None:
+def _spec_shard_loop(run: Any, q: int, b0: int, b1: int, sh: _SpecShared) -> None:
     """One optimistic-mode shard worker.
 
     Every worker folds the full cross-shard schedule privately
@@ -434,7 +434,7 @@ class ShardPool:
             for q in range(shards):
                 b0 = q * self._block
                 proc = ctx.Process(
-                    target=_spec_worker_loop,
+                    target=_spec_shard_loop,
                     args=(run, q, b0, b0 + self._block, self._shared),
                     daemon=True,
                 )
@@ -447,7 +447,7 @@ class ShardPool:
         for q in range(shards):
             b0 = q * self._block
             proc = ctx.Process(
-                target=_worker_loop,
+                target=_shard_loop,
                 args=(run, b0, b0 + self._block, self._start, self._end),
                 daemon=True,
             )

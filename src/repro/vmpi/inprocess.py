@@ -142,8 +142,8 @@ class ThreadRankComm:
 
     # ------------------------------------------------------------ collectives
     def collective(self, fn: Callable[..., Generator], *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn(view, *args, **kwargs)``, any function of
-        :mod:`repro.vmpi.collectives`, on this rank; returns its result."""
+        """Run the generator ``fn(view, *args, **kwargs)`` — a collective
+        or a whole exchange program — on this rank; returns its result."""
         gen = fn(self._view, *args, **kwargs)
         try:
             while True:

@@ -17,7 +17,11 @@ from repro.dist import (
     default_script,
     simulate_training,
 )
-from repro.dist.simulated import _build_plan, _draw_utterance_lengths
+from repro.dist.simulated import (
+    CURVATURE_JITTER,
+    _build_plan,
+    _draw_utterance_lengths,
+)
 from repro.speech import HmmSpec
 from repro.util.rng import spawn
 
@@ -285,8 +289,6 @@ class TestLoadDataModes:
             small_config(load_data_mode="carrier_pigeon")
         with pytest.raises(ValueError, match="fanout"):
             small_config(load_data_fanout=1)
-        with pytest.raises(ValueError, match="io_aggregate"):
-            small_config(io_aggregate_bandwidth=0.0)
 
 
 # ---------------------------------------------------------------- the plan
@@ -311,7 +313,7 @@ def _plan_reference(cfg):
     for it in range(cfg.script.n_iterations):
         rng = spawn(cfg.seed, "sim-curv", it)
         if cfg.curvature_sampling == "frame":
-            jitter = np.clip(rng.normal(1.0, cfg.curvature_jitter, size=w), 0.5, 1.5)
+            jitter = np.clip(rng.normal(1.0, CURVATURE_JITTER, size=w), 0.5, 1.5)
             curv.append(
                 [max(1, round(max(1, round(frac * f)) * j)) for f, j in zip(grad, jitter)]
             )

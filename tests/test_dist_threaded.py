@@ -7,10 +7,14 @@ reference trajectory to float tolerance, for several worker counts and
 both training criteria.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.dist import (
+    MasterSource,
+    ShardWorker,
     global_frame_sample,
     make_frame_shards,
     make_sequence_shards,
@@ -20,7 +24,10 @@ from repro.dist import (
 from repro.dist.protocol import FrameShard, sample_size
 from repro.hf import FrameSource, HFConfig, HessianFreeOptimizer, SequenceSource
 from repro.nn import DNN, CrossEntropyLoss, SequenceMMILoss
+from repro.obs import MetricsRegistry
 from repro.speech import CorpusConfig, build_corpus
+from repro.vmpi import run_threaded
+from tests.test_vmpi_backend_parity import recorded_traffic
 
 CFG = CorpusConfig(hours=50, scale=8e-5, context=1, seed=11)
 
@@ -103,6 +110,140 @@ def test_sequence_distributed_matches_serial(corpus):
     assert np.allclose(
         serial.heldout_trajectory, dist.heldout_trajectory, rtol=1e-7
     )
+
+
+def _mmi_setup(corpus):
+    xs, spans = corpus.sequence_data()
+    hxs, hspans = corpus.heldout_sequence_data()
+    net = DNN([CFG.input_dim, 16, corpus.n_states])
+    loss = SequenceMMILoss(
+        corpus.sampler.log_transitions(), corpus.sampler.log_initial(), kappa=0.7
+    )
+    return net, loss, (xs, spans, hxs, hspans)
+
+
+def _threaded_series(net, loss, shards, curvature_total, fraction, seed, theta0):
+    """``hf.gn_sample_size`` of a 2-iteration run on MasterSource."""
+    reg = MetricsRegistry()
+
+    def master(comm):
+        source = MasterSource(comm, sum(s.n_frames for s in shards))
+        try:
+            HessianFreeOptimizer(source, HFConfig(max_iterations=2), obs=reg).run(theta0)
+        finally:
+            source.stop()
+
+    workers = [
+        ShardWorker(net, loss, s, fraction, curvature_total, seed).serve for s in shards
+    ]
+    run_threaded(len(shards) + 1, [master] + workers, timeout=120)
+    return reg.series("hf.gn_sample_size").values
+
+
+def _serial_series(source, theta0):
+    reg = MetricsRegistry()
+    HessianFreeOptimizer(source, HFConfig(max_iterations=2), obs=reg).run(theta0)
+    return reg.series("hf.gn_sample_size").values
+
+
+def test_threaded_gn_sample_size_is_the_serial_one(frame_setup, corpus):
+    """The threaded operator reports the reduced sampled-frame count as
+    ``sample_size``, so the per-iteration metric is the serial run's."""
+    _, net, x, y, hx, hy = frame_setup
+    shards = make_frame_shards(
+        x, y, hx, hy, [u.n_frames for u in corpus.train_utts], 2
+    )
+    serial = _serial_series(
+        FrameSource(net, CrossEntropyLoss(), x, y, hx, hy, curvature_fraction=0.05, seed=9),
+        net.init_params(0),
+    )
+    threaded = _threaded_series(
+        net, CrossEntropyLoss(), shards, x.shape[0], 0.05, 9, net.init_params(0)
+    )
+    assert serial and min(serial) > 0
+    assert threaded == serial
+
+    net, loss, (xs, spans, hxs, hspans) = _mmi_setup(corpus)
+    serial = _serial_series(
+        SequenceSource(net, loss, xs, spans, hxs, hspans, curvature_fraction=0.2, seed=4),
+        net.init_params(1),
+    )
+    threaded = _threaded_series(
+        net, loss, make_sequence_shards(xs, spans, hxs, hspans, 2), len(spans),
+        0.2, 4, net.init_params(1),
+    )
+    assert serial and min(serial) > 0
+    assert threaded == serial
+
+
+def test_real_trainer_traffic_is_the_phase_table(frame_setup, corpus, monkeypatch):
+    """One bcast down and one reduce up per master call (gradient, CG
+    product, held-out evaluation), plus the stop broadcast: with 2
+    workers every binomial edge is master <-> worker, and there is no
+    curvature-setup round trip."""
+    _, net, x, y, hx, hy = frame_setup
+    shards = make_frame_shards(
+        x, y, hx, hy, [u.n_frames for u in corpus.train_utts], 2
+    )
+    calls = Counter()
+    gradient, heldout, curvature = (
+        MasterSource.gradient, MasterSource.heldout_loss, MasterSource.curvature_operator
+    )
+
+    def counted_curvature(self, theta, lam, sample_seed):
+        op = curvature(self, theta, lam, sample_seed)
+
+        def counted_op(v):
+            calls["cg"] += 1
+            return op(v)
+
+        return counted_op
+
+    def counted(name, fn):
+        def method(self, theta):
+            calls[name] += 1
+            return fn(self, theta)
+
+        return method
+
+    monkeypatch.setattr(MasterSource, "gradient", counted("gradient", gradient))
+    monkeypatch.setattr(MasterSource, "heldout_loss", counted("heldout", heldout))
+    monkeypatch.setattr(MasterSource, "curvature_operator", counted_curvature)
+    with recorded_traffic() as rows:
+        train_threaded_hf(
+            net, CrossEntropyLoss(), shards, net.init_params(0),
+            HFConfig(max_iterations=2), curvature_fraction=0.05, seed=9,
+        )
+    n = sum(calls.values())
+    assert calls["gradient"] and calls["cg"] and calls["heldout"]
+    assert Counter((src, dst) for src, dst, _tag, _nbytes in rows) == {
+        (0, 1): n + 1, (0, 2): n + 1, (1, 0): n, (2, 0): n,
+    }
+
+
+def test_curvature_needs_the_gradient_theta(frame_setup, corpus):
+    """Workers build curvature at the last gradient's theta, so the
+    master refuses any other theta rather than assume it."""
+    _, net, x, y, hx, hy = frame_setup
+    shards = make_frame_shards(
+        x, y, hx, hy, [u.n_frames for u in corpus.train_utts], 1
+    )
+    theta = net.init_params(0)
+
+    def master(comm):
+        source = MasterSource(comm, x.shape[0])
+        try:
+            with pytest.raises(ValueError, match="last gradient"):
+                source.curvature_operator(theta, 1.0, sample_seed=1)
+            source.gradient(theta)
+            source.curvature_operator(theta.copy(), 1.0, sample_seed=1)
+            with pytest.raises(ValueError, match="last gradient"):
+                source.curvature_operator(theta + 1e-12, 1.0, sample_seed=1)
+        finally:
+            source.stop()
+
+    worker = ShardWorker(net, CrossEntropyLoss(), shards[0], 0.05, x.shape[0], 9)
+    run_threaded(2, [master, worker.serve], timeout=60)
 
 
 def test_shard_construction_invariants(frame_setup):

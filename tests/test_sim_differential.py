@@ -177,7 +177,6 @@ def _ineligible_configs(draw):
                 ("noise_model", {"noise": _OtherNoise()}),
                 ("noise_model", {"noise": LinuxJitter(), "overlap_gradient": True}),
                 ("network_model", {"network": _OtherNetwork()}),
-                ("segmented_control", {"segment_bytes": 8}),
             ]
         )
     )
