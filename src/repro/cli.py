@@ -451,11 +451,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         simulate_serving,
     )
 
-    autoscale = None
-    if args.autoscale:
-        autoscale = AutoscalePolicy(
-            min_replicas=args.min_replicas, warmup_s=args.warmup_s
-        )
     fault_plan = None
     if args.fault_plan:
         fault_plan = _load_fault_plan(args.fault_plan)
@@ -473,13 +468,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         obs = MetricsRegistry()
     try:
+        autoscale = None
+        if args.autoscale:
+            autoscale = AutoscalePolicy(
+                min_replicas=args.min_replicas, warmup_s=args.warmup_s
+            )
         cfg = ServeConfig(
             replicas=args.replicas,
             arrivals=ArrivalSpec(kind=args.arrival, rate=args.rate),
             horizon_s=args.horizon,
             seed=args.seed,
             queue_capacity=args.queue_cap,
-            request_timeout_s=args.timeout_s if args.timeout_s > 0 else None,
+            # 0 (or less) disables the deadline; NaN is left to be rejected
+            request_timeout_s=None if args.timeout_s <= 0 else args.timeout_s,
             batch=BatchPolicy(
                 max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
             ),

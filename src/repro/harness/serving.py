@@ -13,9 +13,11 @@ Two drivers over :func:`~repro.serve.scenario.simulate_serving`:
   batches buy GEMM efficiency (throughput) at the price of batching
   delay on every request.
 
-Everything downstream of a fixed seed is bit-deterministic, so the
-sweep's numbers are committed verbatim to ``BENCH_sim_vmpi.json`` and
-compared exactly by ``benchmarks/test_serve_saturation.py``.
+Every sweep point is crash-free and autoscale-free, so it replays on
+the arrival recurrence (:mod:`repro.serve.recurrence`), not on the
+DES.  Everything downstream of a fixed seed is bit-deterministic, so
+the sweep's numbers are committed verbatim to ``BENCH_sim_vmpi.json``
+and compared exactly by ``benchmarks/test_serve_saturation.py``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ admission queue (:mod:`~repro.serve.queueing`), dynamic batching
 the gemm/BG/Q machine model (:mod:`~repro.serve.cost`), reactive
 autoscaling (:mod:`~repro.serve.autoscale`), and the scenario driver
 that wires them onto the virtual-MPI fabric
-(:mod:`~repro.serve.scenario`).
+(:mod:`~repro.serve.scenario`).  Crash-free, autoscale-free runs skip
+the DES and replay as one recurrence over the arrivals
+(:mod:`~repro.serve.recurrence`), bit-identical to it.
 """
 
 from repro.serve.arrivals import ARRIVAL_KINDS, ArrivalSpec, Request, generate_arrivals

@@ -22,6 +22,7 @@ seed and appear in the obs stream as ``serve.autoscale.events``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -45,12 +46,12 @@ class AutoscalePolicy:
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
             raise ValueError(f"min_replicas must be >= 1, got {self.min_replicas}")
-        if self.interval_s <= 0.0:
-            raise ValueError(f"interval_s must be > 0, got {self.interval_s}")
-        if self.up_backlog_per_replica <= 0.0:
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0.0):
+            raise ValueError(f"interval_s must be finite and > 0, got {self.interval_s}")
+        backlog = self.up_backlog_per_replica
+        if not (math.isfinite(backlog) and backlog > 0.0):
             raise ValueError(
-                f"up_backlog_per_replica must be > 0, "
-                f"got {self.up_backlog_per_replica}"
+                f"up_backlog_per_replica must be finite and > 0, got {backlog}"
             )
         if not 0.0 <= self.down_utilization <= 1.0:
             raise ValueError(
@@ -58,8 +59,8 @@ class AutoscalePolicy:
             )
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.warmup_s < 0.0:
-            raise ValueError(f"warmup_s must be >= 0, got {self.warmup_s}")
+        if not (math.isfinite(self.warmup_s) and self.warmup_s >= 0.0):
+            raise ValueError(f"warmup_s must be finite and >= 0, got {self.warmup_s}")
 
 
 def autoscaler_process(

@@ -17,6 +17,7 @@ real servers, where timers cover the queue, not the GPU).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -43,8 +44,10 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0.0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0.0):
+            raise ValueError(
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
+            )
 
     @property
     def max_wait_s(self) -> float:

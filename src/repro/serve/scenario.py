@@ -20,10 +20,16 @@ process, the courier's response timeout fires, the batch is counted
 visible as ``serve.replica.excluded`` counters and ``serve.excluded``
 Perfetto spans.
 
-Everything runs on the seeded DES, so a fixed
-:class:`ServeConfig` reproduces its latency histogram bit-for-bit —
-the determinism golden of ``tests/test_serve.py`` and the committed
-saturation baseline in ``BENCH_sim_vmpi.json`` both lean on this.
+A run with no fault plan, no autoscaler, no metrics registry and no
+trace has nothing for the DES to decide: :func:`simulate_serving`
+replays it as one forward recurrence over the arrivals
+(:mod:`repro.serve.recurrence`), bit-identical to the DES programs
+below, which run every other scenario and serve as the recurrence's
+oracle.  ``ServeResult.execution_path`` records which path ran.  Both
+are deterministic, so a fixed :class:`ServeConfig` reproduces its
+latency histogram bit-for-bit — the determinism golden of
+``tests/test_serve.py`` and the committed saturation baseline in
+``BENCH_sim_vmpi.json`` both lean on this.
 """
 
 from __future__ import annotations
@@ -45,9 +51,16 @@ from repro.serve.autoscale import AutoscalePolicy, autoscaler_process
 from repro.serve.batching import WAKE, BatchPolicy, batcher_process
 from repro.serve.cost import DecodeCostModel
 from repro.serve.queueing import AdmissionQueue, admission_process
+from repro.serve.recurrence import STOP_BYTES, batch_message, replay
 from repro.serve.stats import ServeLog, quantile
 
-__all__ = ["ServeConfig", "ServeResult", "ServeState", "simulate_serving"]
+__all__ = [
+    "ServeConfig",
+    "ServeResult",
+    "ServeState",
+    "simulate_serving",
+    "simulate_serving_des",
+]
 
 TAG_REQUEST = 11
 TAG_RESULT = 12
@@ -86,22 +99,24 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError(f"need >= 1 replica, got {self.replicas}")
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
+        if not (math.isfinite(self.horizon_s) and self.horizon_s > 0):
+            raise ValueError(f"horizon_s must be finite and > 0, got {self.horizon_s}")
         if self.queue_capacity < 1:
             raise ValueError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+        timeout = self.request_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(
-                f"request_timeout_s must be > 0 or None, "
-                f"got {self.request_timeout_s}"
+                f"request_timeout_s must be finite and > 0, or None; got {timeout}"
             )
-        if self.detect_margin < 1.0:
-            raise ValueError(f"detect_margin must be >= 1, got {self.detect_margin}")
-        if self.detect_floor_s < 0.0:
+        if not (math.isfinite(self.detect_margin) and self.detect_margin >= 1.0):
             raise ValueError(
-                f"detect_floor_s must be >= 0, got {self.detect_floor_s}"
+                f"detect_margin must be finite and >= 1, got {self.detect_margin}"
+            )
+        if not (math.isfinite(self.detect_floor_s) and self.detect_floor_s >= 0.0):
+            raise ValueError(
+                f"detect_floor_s must be finite and >= 0, got {self.detect_floor_s}"
             )
         if self.autoscale is not None and self.autoscale.min_replicas > self.replicas:
             raise ValueError(
@@ -173,6 +188,9 @@ class ServeResult:
     excluded: tuple[tuple[int, float], ...]
     tracer: Tracer | None
     log: ServeLog
+    execution_path: str
+    """``"recurrence"`` or ``"des"``: which executor ran (not part of
+    :meth:`invariants` — both produce the same numbers)."""
 
     def invariants(self) -> dict[str, Any]:
         """The bit-comparable fingerprint of this run (determinism
@@ -228,21 +246,15 @@ def _courier(
 ) -> Generator:
     """Front-end transport loop for replica ``r``: ship batches, await
     results, detect crashes via response timeout."""
-    cost = cfg.cost
     while True:
         batch = yield Get(state.work[r])
         if batch is STOP:
             if not state.excluded[r]:
-                yield from ctx.send(r, PayloadStub(8, "serve.stop"), tag=TAG_STOP)
+                stop = PayloadStub(STOP_BYTES, "serve.stop")
+                yield from ctx.send(r, stop, tag=TAG_STOP)
             return
         t0 = ctx.now
-        frames = sum(q.frames for q in batch)
-        seconds = cost.batch_seconds(frames, len(batch))
-        payload = (
-            PayloadStub(cost.request_bytes(frames), "serve.batch"),
-            seconds,
-            cost.result_bytes(frames),
-        )
+        payload, seconds = batch_message(cfg.cost, batch)
         yield from ctx.send(r, payload, tag=TAG_REQUEST)
         timeout = seconds * cfg.detect_margin + cfg.detect_floor_s
         try:
@@ -332,7 +344,23 @@ def simulate_serving(
     and exclusion windows).  Both are passive: the simulated timeline
     and every :meth:`ServeResult.invariants` entry are bit-identical
     with them on or off.
+
+    A run with neither, and with no fault plan and no autoscaler, is
+    replayed by the arrival recurrence; every other run goes through
+    :func:`simulate_serving_des`.  The results are bit-identical.
     """
+    if cfg.fault_plan is None and cfg.autoscale is None and obs is None and not trace:
+        requests = generate_arrivals(cfg.arrivals, cfg.horizon_s, cfg.seed)
+        log, end = replay(cfg, requests, _network(cfg))
+        return _result(cfg, log, end, None, "recurrence")
+    return simulate_serving_des(cfg, obs=obs, trace=trace)
+
+
+def simulate_serving_des(
+    cfg: ServeConfig, obs: Any | None = None, trace: bool = False
+) -> ServeResult:
+    """:func:`simulate_serving` on the DES programs, whatever the config:
+    the general executor, and the oracle the recurrence is held to."""
     requests = generate_arrivals(cfg.arrivals, cfg.horizon_s, cfg.seed)
     size = cfg.replicas + 1
     tracer = Tracer() if trace else None
@@ -341,7 +369,7 @@ def simulate_serving(
         if cfg.fault_plan is not None
         else None
     )
-    network: Any = TorusNetworkModel(nodes=size, ranks_per_node=1)
+    network: Any = _network(cfg)
     if injector is not None:
         network = injector.wrap_network(network)
     comm = VComm(
@@ -376,6 +404,19 @@ def simulate_serving(
             injector.record_degraded_spans(tracer, end)
         for r, at in log.excluded:
             tracer.record(f"rank{r}", "serve.excluded", at, end)
+    return _result(cfg, log, end, tracer, "des")
+
+
+def _network(cfg: ServeConfig) -> TorusNetworkModel:
+    """The front end and one node per replica on the BG/Q torus."""
+    return TorusNetworkModel(nodes=cfg.replicas + 1, ranks_per_node=1)
+
+
+def _result(
+    cfg: ServeConfig, log: ServeLog, end: float, tracer: Tracer | None, path: str
+) -> ServeResult:
+    """Summarize a finished run's books — the one place either executor's
+    :class:`ServeResult` is assembled."""
     lat_sorted = sorted(log.latencies)
     completed = log.completed
     return ServeResult(
@@ -397,7 +438,7 @@ def simulate_serving(
         ),
         utilization={
             r: log.busy.get(r, 0.0) / end if end > 0 else 0.0
-            for r in state.replica_ids
+            for r in range(1, cfg.replicas + 1)
         },
         depth_peak=log.depth_peak,
         active_peak=log.active_peak,
@@ -406,4 +447,5 @@ def simulate_serving(
         excluded=tuple(log.excluded),
         tracer=tracer,
         log=log,
+        execution_path=path,
     )

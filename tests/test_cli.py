@@ -167,3 +167,27 @@ def test_python_dash_m_repro_is_the_cli():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: repro lint")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--autoscale", "--min-replicas", "0"], "min_replicas must be >= 1, got 0"),
+        (["--autoscale", "--warmup-s", "-1"], "warmup_s must be finite and >= 0"),
+        (["--horizon", "nan"], "horizon_s must be finite and > 0, got nan"),
+        (["--timeout-s", "nan"], "request_timeout_s must be finite"),
+    ],
+)
+def test_serve_rejects_bad_flags_in_one_line(flags, message):
+    """Bad autoscale flags used to print a ``ValueError`` traceback;
+    ``--horizon nan`` ran and reported NaN latencies with exit 0, and
+    ``--timeout-s nan`` silently meant "no deadline"."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", *flags],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith(f"repro serve: {message}")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr

@@ -27,8 +27,8 @@ from repro.dist import (
 from repro.dist.simulated import _TAG_DATA, _TAG_WORK0, _build_plan
 from repro.faults import FaultPlan, FaultPolicy, MessageDrop, NodeCrash
 from repro.harness.perf import bench_ping_ring
-from repro.serve import ArrivalSpec, ServeConfig, simulate_serving
-from repro.serve.scenario import TAG_REQUEST, TAG_RESULT, TAG_STOP
+from repro.serve import ArrivalSpec, ServeConfig
+from repro.serve.scenario import TAG_REQUEST, TAG_RESULT, TAG_STOP, simulate_serving_des
 from repro.vmpi.collectives import _COLL_TAG_BASE
 from repro.vmpi.comm import RankCtx
 from repro.vmpi.costmodel import PayloadStub
@@ -213,7 +213,8 @@ def test_serving_traffic_pairs_every_request_with_one_result(posted):
     """Per replica: batches on ``TAG_REQUEST``, each answered by exactly
     one result of the size the request asked for, then one stop."""
     cfg = ServeConfig(replicas=3, arrivals=ArrivalSpec(rate=6.0), horizon_s=4.0, seed=3)
-    res = simulate_serving(cfg)
+    # the DES entry: a plain config otherwise replays without messages
+    res = simulate_serving_des(cfg)
     assert res.excluded == () and res.completed > 0
     assert all(d == 0 or s == 0 for s, d, *_ in posted)
     for r in range(1, cfg.replicas + 1):
