@@ -24,10 +24,11 @@ the determinism goldens).
 
 Bit-identity discipline (DESIGN.md §6e):
 
-* every floating-point expression replicates the scalar code's exact
-  operation sequence — ``max(t_send + transfer, end_wire) - t_send`` for
-  delivery delay, ``(t0 + s) - t0`` for span durations — never an
-  algebraically equal rewrite;
+* a message lands where :func:`~repro.vmpi.costmodel.delivery` says,
+  the rule the scalar send path calls too; every other floating-point
+  expression replicates the scalar code's exact operation sequence —
+  ``(t0 + s) - t0`` for span durations — never an algebraically equal
+  rewrite;
 * per-edge message costs come from the network model's *own*
   formulas: each eligible model states its on-node and off-node
   ``(transfer, wire)`` once (``on_node_costs``/``off_node_costs``), as
@@ -67,7 +68,7 @@ from repro.dist.timeline import COMPUTE, P2P, label
 from repro.sim.engine import VectorPhase
 from repro.util.rng import spawn
 from repro.vmpi.collectives import binomial_levels
-from repro.vmpi.costmodel import UniformNetwork
+from repro.vmpi.costmodel import UniformNetwork, delivery
 
 __all__ = [
     "run_vectorized",
@@ -219,6 +220,12 @@ def _edge_costs(
     return np.broadcast_to(transfer, shape), np.broadcast_to(wire, shape)
 
 
+def _into_first(a: np.ndarray, b: Any) -> np.ndarray:
+    """``np.maximum`` written into ``a``: the in-place ``maximum`` that
+    :func:`_level` hands :func:`delivery`."""
+    return np.maximum(a, b, out=a)
+
+
 def _level(
     cur: np.ndarray,
     busy: np.ndarray,
@@ -229,22 +236,18 @@ def _level(
     wire: np.ndarray,
     inj: float,
 ) -> None:
-    """One tree level in place, replicating the scalar send path
-    float-for-float: ``_delivery_delay``'s wire-busy fold, arrival as
-    ``t_send + max(delay, injection)``, sender charged the injection,
-    receiver resumed at ``max(clock, arrival)``.  Leaves send up to their
-    parents (``up``) or parents down to their leaves; either way the
-    edge's wire-busy entry is the leaf's.  ``leaves``/``parents`` must be
-    slices: the writes go through views, and an index array would
-    silently write into a copy."""
+    """One tree level in place: each sender posts at its clock, the
+    message lands per :func:`~repro.vmpi.costmodel.delivery` (the DES
+    send path's rule, float for float), the sender is charged the
+    injection and the receiver resumes at ``max(clock, arrival)``.
+    Leaves send up to their parents (``up``) or parents down to their
+    leaves; either way the edge's wire-busy entry is the leaf's, and
+    the rule's in-place ``maximum`` turns that view into the wire end.
+    The only temporary is ``snd + transfer``.  ``leaves``/``parents``
+    must be slices: the writes go through views, and an index array
+    would silently write into a copy."""
     snd, rcv = (cur[leaves], cur[parents]) if up else (cur[parents], cur[leaves])
-    end_wire = busy[leaves]
-    np.maximum(end_wire, snd, out=end_wire)
-    end_wire += wire
-    arrival = snd + transfer
-    np.maximum(arrival, end_wire, out=arrival)
-    arrival -= snd  # the delivery delay
-    np.maximum(arrival, inj, out=arrival)
+    arrival, _end = delivery(snd, transfer, wire, busy[leaves], inj, _into_first)
     arrival += snd
     np.maximum(rcv, arrival, out=rcv)
     snd += inj
@@ -421,21 +424,18 @@ class _VectorRun:
         (``_serial_bcast_impl``, and the master load): ``ctx.send`` yields
         each injection time in turn, so the master's clock is the left
         fold ``now + inj`` — which ``cumsum`` is — and message ``w`` leaves
-        at the fold's ``w``-th value; the rest is :func:`_level`'s send
-        path with those send times.  ``inj`` is a scalar or per-edge."""
+        at the fold's ``w``-th value and lands per :func:`delivery`, the
+        wire end written back through :attr:`root_key`.  ``inj`` is a
+        scalar or per-edge."""
         cur, busy, key = self.cur, self.busy_dn, self.root_key
         steps = np.empty(self.p, dtype=np.float64)
         steps[0] = cur[0]
         steps[1:] = inj
         clock = np.cumsum(steps)
         t_send = clock[:-1]
-        start = np.maximum(busy[key], t_send)
-        end_wire = start + wire
-        busy[key] = end_wire
-        delay = np.maximum(t_send + transfer, end_wire) - t_send
-        arrival = t_send + np.maximum(delay, inj)
+        delay, busy[key] = delivery(t_send, transfer, wire, busy[key], inj, np.maximum)
         cur[0] = clock[-1]
-        cur[1:] = np.maximum(cur[1:], arrival)
+        cur[1:] = np.maximum(cur[1:], t_send + delay)
 
     # --------------------------------------------------------- phase builders
     def _op(self, op: tuple) -> tuple:

@@ -66,7 +66,7 @@ class DegradedNetworkModel:
             for ev in events
         )
         self._node_of = getattr(base, "node_of", None)
-        self._base_wire = getattr(base, "wire_time", None)
+        self._base_wire = base.wire_time
         self._counts = counts
         self._engine: Engine | None = None
 
@@ -115,16 +115,13 @@ class DegradedNetworkModel:
             )
         now = self._engine._now
         i = self._active(src, dst, now)
-        base_wire = self._base_wire
         if i < 0:
-            return base_wire(src, dst, nbytes) if base_wire is not None else 0.0
+            return self._base_wire(src, dst, nbytes)
         variant = self._variants[i]
         if variant is not None:
             return variant.wire_time(src, dst, nbytes)
-        if base_wire is None:
-            return 0.0
         ev = self._events[i]
-        return base_wire(src, dst, nbytes) * (ev.latency_factor / ev.bandwidth_factor)
+        return self._base_wire(src, dst, nbytes) * (ev.latency_factor / ev.bandwidth_factor)
 
     def __getattr__(self, name: str) -> Any:
         # pair_time must stay absent (see class docstring); everything

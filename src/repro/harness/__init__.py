@@ -21,7 +21,6 @@ from repro.harness.breakdown import BREAKDOWN_CONFIGS, ConfigBreakdown, run_brea
 from repro.harness.calibrate import CalibrationRun, calibrated_script
 from repro.harness.counterflow import (
     DEFAULT_COUNTERFLOW_RANKS,
-    counterflow_from_dumps,
     counterflow_records,
     render_counterflow,
     run_counterflow,
@@ -102,7 +101,6 @@ __all__ = [
     "xeon_config",
     "xeon_hours",
     "DEFAULT_COUNTERFLOW_RANKS",
-    "counterflow_from_dumps",
     "counterflow_records",
     "render_counterflow",
     "run_counterflow",

@@ -9,11 +9,6 @@ run's span totals into the per-phase ``(role, kind, seconds)`` rows of
 :func:`repro.obs.attrib.phase_flow_rows`, and renders the sweep as a
 markdown table (phases x rank counts) plus JSONL records that
 ``repro obs diff`` can gate across runs.
-
-``counterflow_from_dumps`` rebuilds the same sweep from previously
-written metrics dumps (the ``train.phase_seconds`` records every
-obs-attached run emits), so the table can be regenerated without
-re-simulating.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from typing import Any
 __all__ = [
     "DEFAULT_COUNTERFLOW_RANKS",
     "run_counterflow",
-    "counterflow_from_dumps",
     "counterflow_records",
     "render_counterflow",
 ]
@@ -71,41 +65,6 @@ def run_counterflow(
                 "rows": phase_flow_rows(res.tracer, p, sample=sample),
             }
         )
-    return points
-
-
-def counterflow_from_dumps(paths: list[Any]) -> list[dict[str, Any]]:
-    """Rebuild sweep points from ``train.phase_seconds`` dump records.
-
-    Each JSONL dump contributes one point per distinct ``shape`` label
-    found; points sort by rank count so mixed dumps merge cleanly.
-    """
-    from repro.obs.diff import load_metric_records
-
-    by_spec: dict[str, list[dict[str, Any]]] = {}
-    for path in paths:
-        for rec in load_metric_records(path):
-            if rec.get("metric") != "train.phase_seconds":
-                continue
-            labels = rec.get("labels", {})
-            spec = labels.get("shape", "?")
-            by_spec.setdefault(spec, []).append(
-                {
-                    "phase": labels.get("phase", "other"),
-                    "role": labels.get("role", "?"),
-                    "kind": labels.get("kind", "?"),
-                    "seconds": rec.get("value", 0.0),
-                }
-            )
-    points = [
-        {
-            "spec": spec,
-            "ranks": int(spec.split("-", 1)[0]) if spec.split("-", 1)[0].isdigit() else 0,
-            "rows": rows,
-        }
-        for spec, rows in by_spec.items()
-    ]
-    points.sort(key=lambda pt: (pt["ranks"], pt["spec"]))
     return points
 
 

@@ -88,20 +88,6 @@ class ArrivalSpec:
         if not (math.isfinite(self.period_s) and self.period_s > 0):
             raise ValueError(f"period_s must be finite and > 0, got {self.period_s}")
 
-    def scaled(self, rate: float) -> "ArrivalSpec":
-        """This spec at a different time-averaged ``rate`` (load sweeps)."""
-        return ArrivalSpec(
-            kind=self.kind,
-            rate=rate,
-            min_frames=self.min_frames,
-            max_frames=self.max_frames,
-            burst_factor=self.burst_factor,
-            mean_burst_s=self.mean_burst_s,
-            mean_calm_s=self.mean_calm_s,
-            amplitude=self.amplitude,
-            period_s=self.period_s,
-        )
-
 
 def generate_arrivals(spec: ArrivalSpec, horizon_s: float, seed: int) -> list[Request]:
     """Materialize the request stream over ``[0, horizon_s)``.

@@ -7,8 +7,10 @@ arithmetic.  :func:`replay` walks them once with three pieces of state
 → waiting for an idle replica) and a heap of in-flight batches keyed by
 completion — and fills the same :class:`~repro.serve.stats.ServeLog`,
 in the same order and with the same float operations, as the DES
-programs of :mod:`repro.serve.scenario`: bit-identical results, with
-the DES as the oracle (DESIGN.md §10).
+programs of :mod:`repro.serve.scenario` (a message lands where
+:func:`~repro.vmpi.costmodel.delivery`, the DES send path's rule,
+says): bit-identical results, with the DES as the oracle (DESIGN.md
+§10).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.vmpi.costmodel import PayloadStub, nbytes_of
+from repro.vmpi.costmodel import PayloadStub, delivery, nbytes_of
 
 from repro.serve.arrivals import Request
 from repro.serve.cost import DecodeCostModel
@@ -41,18 +43,6 @@ def batch_message(cost: DecodeCostModel, batch: Sequence[Request]) -> tuple[Any,
     return (stub, seconds, cost.result_bytes(frames)), seconds
 
 
-def _deliver(network: Any, src: int, dst: int, nbytes: int, now: float) -> float:
-    """Instant a message posted at ``now`` lands in ``dst``'s inbox.
-
-    A courier sends a batch only after the previous result came back,
-    and a replica answers only after the batch arrived: each pair has at
-    most one message in flight per direction, so its wire is free at
-    send time and ``VComm._delivery_delay`` reduces to this."""
-    transfer, wire = network.pair_time(src, dst, nbytes)
-    delay = max(now + transfer, now + wire) - now
-    return now + max(delay, network.injection_time(nbytes))
-
-
 def replay(
     cfg: ServeConfig, requests: list[Request], network: Any
 ) -> tuple[ServeLog, float]:
@@ -74,6 +64,13 @@ def replay(
     flight: list[tuple[float, int, int, float, list[Request]]] = []
     i, n = 0, len(requests)
     now = last = 0.0  # the batcher's clock; the last completion
+
+    def land(src: int, dst: int, nbytes: int, at: float) -> float:
+        # wire_free = at: a courier sends only after its last result came
+        # back, a replica answers only after the batch arrived
+        transfer, wire = network.pair_time(src, dst, nbytes)
+        inj = network.injection_time(nbytes)
+        return at + delivery(at, transfer, wire, at, inj)[0]
 
     def hand_off() -> Request:
         # the parked batcher takes the next arrival before it is queued
@@ -135,8 +132,8 @@ def replay(
         r = idle.popleft()
         log.note_dispatch(len(batch))
         payload, seconds = batch_message(cfg.cost, batch)
-        there = _deliver(network, 0, r, nbytes_of(payload), now)
-        back = _deliver(network, r, 0, payload[2], there + seconds)
+        there = land(0, r, nbytes_of(payload), now)
+        back = land(r, 0, payload[2], there + seconds)
         heapq.heappush(flight, (back, len(log.batch_sizes), r, now, batch))
     while flight:
         complete()
@@ -146,4 +143,4 @@ def replay(
     # then stops every replica, and the STOP deliveries end the run.
     drain = max(arrive_at[-1] if n else 0.0, last)
     replicas = range(1, cfg.replicas + 1)
-    return log, max(_deliver(network, 0, r, STOP_BYTES, drain) for r in replicas)
+    return log, max(land(0, r, STOP_BYTES, drain) for r in replicas)

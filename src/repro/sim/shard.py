@@ -64,9 +64,9 @@ granted ops, so every observable read (collective stats, span bulks,
 the phase log) still sees fully-folded state.  Committed values are
 bit-identical to the conservative protocol by construction: every
 commit is validated against exactly the values the conservative fold
-would have read, and the cross fold itself is the same
-``repro.dist.vectorized._level`` float sequence applied to the gathered
-root vectors.  Obs surfaces: ``sim.shard.rollbacks`` (validation failures),
+would have read, and the cross fold itself is
+``repro.dist.vectorized._level`` — so :func:`~repro.vmpi.costmodel.delivery`
+— applied to the gathered root vectors.  Obs surfaces: ``sim.shard.rollbacks`` (validation failures),
 ``sim.shard.speculated_windows`` (drained grant windows),
 ``sim.shard.commit_depth`` (ops committed per window — the speculation
 depth the two-barrier protocol never exceeds 1 on); in this mode

@@ -28,7 +28,7 @@ the oldest-matching-message-wins FIFO order of a linear inbox exactly.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from typing import Any, Callable, Generator, Iterable, NamedTuple
 
@@ -37,7 +37,7 @@ import numpy as np
 from repro.analysis.runtime import CollectiveOrderChecker
 from repro.sim.engine import Engine, Get, GetTimeout, SimError, Timeout
 from repro.sim.trace import Tracer
-from repro.vmpi.costmodel import NetworkModel, UniformNetwork, nbytes_of
+from repro.vmpi.costmodel import NetworkModel, UniformNetwork, delivery, nbytes_of
 
 __all__ = [
     "ANY_SOURCE",
@@ -381,41 +381,22 @@ class VComm:
         self._bytes_sent = 0
         # Hoisted network-model lookups: one getattr per communicator
         # instead of one per message on the send fast path.
-        self._wire_time = getattr(self.network, "wire_time", None)
+        self._wire_time = self.network.wire_time
         self._p2p_time = self.network.p2p_time
         self._injection_time = self.network.injection_time
         self._pair_time = getattr(self.network, "pair_time", None)
         """Optional combined (p2p, wire) lookup — models declaring it
         promise both costs are pure in (src, dst, nbytes), letting the
         send path make one call instead of two."""
-        self._wire_busy_until: dict[tuple[int, int], float] = {}
-        """Per (src, dst) pair: when the wire frees up.  Back-to-back
-        messages between the same pair serialize at link bandwidth —
-        without this, pipelined segment streams would exceed the link
-        rate."""
+        self._wire_busy_until: defaultdict[tuple[int, int], float] = defaultdict(float)
+        """Per (src, dst) pair: when the wire frees up (0.0 before its
+        first message).  Back-to-back messages between the same pair
+        serialize at link bandwidth — without this, pipelined segment
+        streams would exceed the link rate."""
         self._rank_finish_times: list[float] | None = None
         """Per-rank virtual finish times, populated by :meth:`run` (or by
         the vector executor from its clock vector); consumed by the
         critical-path / attribution passes in :mod:`repro.obs`."""
-
-    def _delivery_delay(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        """Delay until the message lands in the destination inbox,
-        accounting for wire occupancy of earlier messages on this pair."""
-        pair_fn = self._pair_time
-        if pair_fn is not None:
-            transfer, wire = pair_fn(src, dst, nbytes)
-        else:
-            transfer = self._p2p_time(src, dst, nbytes, now=now)
-            wire_fn = self._wire_time
-            wire = wire_fn(src, dst, nbytes) if wire_fn is not None else 0.0
-        key = (src, dst)
-        busy = self._wire_busy_until
-        start = busy.get(key, 0.0)
-        if start < now:
-            start = now
-        end_wire = start + wire
-        busy[key] = end_wire
-        return max(now + transfer, end_wire) - now
 
     # ------------------------------------------------------------------ stats
     @property
@@ -566,19 +547,28 @@ class RankCtx:
             raise ValueError(f"send to invalid rank {dest} (size {comm.size})")
         if tag < 0:
             raise ValueError(f"send tag must be >= 0, got {tag}")
+        src = self.rank
         nbytes = comm.sizer(payload)
         t0 = comm.engine._now
         inj = comm._injection_time(nbytes)
-        delay = comm._delivery_delay(self.rank, dest, nbytes, t0)
-        msg = Message(self.rank, dest, tag, payload, nbytes, t0)
+        pair_fn = comm._pair_time
+        if pair_fn is not None:
+            transfer, wire = pair_fn(src, dest, nbytes)
+        else:
+            transfer = comm._p2p_time(src, dest, nbytes, now=t0)
+            wire = comm._wire_time(src, dest, nbytes)
+        key = (src, dest)
+        busy = comm._wire_busy_until
+        delay, busy[key] = delivery(t0, transfer, wire, busy[key], inj)
+        msg = Message(src, dest, tag, payload, nbytes, t0)
         comm._sends += 1
         comm._bytes_sent += nbytes
         log = comm._obs_log
         if log is not None:
-            log.append((self.rank, dest, nbytes))
+            log.append((src, dest, nbytes))
         faults = comm.faults
-        if faults is None or not faults.drop_message(self.rank, dest, t0):
-            comm.engine.put_later(max(delay, inj), comm._inboxes[dest], msg)
+        if faults is None or not faults.drop_message(src, dest, t0):
+            comm.engine.put_later(delay, comm._inboxes[dest], msg)
         return inj
 
     def recv_cmd(self, source: int | None, tag: int | None) -> "Get":

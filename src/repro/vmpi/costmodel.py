@@ -7,6 +7,8 @@ the DES — they are not closed-form formulas — so algorithmic choices
 (binomial bcast vs. serial sends) show up in the measured virtual time
 exactly as they would on hardware.
 
+:func:`delivery` turns those costs into the instant a message lands.
+
 Two generic models live here; the Blue Gene/Q torus model
 (:class:`repro.bgq.network.TorusNetworkModel`) and the Ethernet model
 (:class:`repro.cluster.ethernet.EthernetNetworkModel`) implement the same
@@ -16,12 +18,13 @@ protocol with topology-aware costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 __all__ = [
     "NetworkModel",
+    "delivery",
     "UniformNetwork",
     "ZeroCostNetwork",
     "min_cross_latency",
@@ -70,6 +73,39 @@ class NetworkModel(Protocol):
         """Seconds the *sender* is occupied injecting the message (overlap
         beyond this is free — models eager/rendezvous DMA offload)."""
         ...
+
+    def wire_time(self, src: int, dst: int, nbytes: int) -> float:
+        """Seconds the ``src -> dst`` wire is occupied by one message:
+        back-to-back messages on the pair serialize at this rate."""
+        ...
+
+
+def delivery(
+    now: Any, transfer: Any, wire: Any, wire_free: Any, inj: Any,
+    maximum: Callable[[Any, Any], Any] = max,
+) -> tuple[Any, Any]:
+    """When a message posted at ``now`` lands: ``(delay, wire_end)``.
+
+    The wire starts at the later of ``now`` and ``wire_free`` (the end of
+    the pair's previous message) and is busy for ``wire``; the message
+    lands ``transfer`` after ``now`` or at the wire's end, whichever is
+    later, but never before the sender's injection ``inj`` is over.  The
+    receiver then resumes at ``max(clock, now + delay)``.
+
+    This is the one statement of the rule: every executor — the DES send
+    path (builtin ``max``), the vector tree levels (a ``maximum`` that
+    writes into its first argument, so the wire-busy view becomes the
+    wire end in place) and chains (``np.maximum``), and the serving
+    recurrence — calls it, so they agree float for float.  Only ``+``,
+    ``-`` and ``maximum`` are used.  The sums are augmented assignments
+    onto a ``maximum`` result: on arrays with an in-place ``maximum``
+    they allocate nothing, and ``now + transfer`` is the one temporary.
+    """
+    end = maximum(wire_free, now)
+    end += wire
+    delay = maximum(now + transfer, end)
+    delay -= now
+    return maximum(delay, inj), end
 
 
 @dataclass(frozen=True)

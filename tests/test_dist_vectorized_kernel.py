@@ -24,7 +24,7 @@ from repro.vmpi.collectives import binomial_levels
 
 def _level_indexed(cur, busy, senders, receivers, edge_key, transfer, wire, inj):
     """One tree level, replicating the scalar send path float-for-float:
-    ``_delivery_delay``'s wire-busy fold, arrival as
+    ``costmodel.delivery``'s wire-busy fold, arrival as
     ``t_send + max(delay, injection)``, sender charged the injection,
     receiver resumed at ``max(clock, arrival)``."""
     t_send = cur[senders]
