@@ -20,6 +20,9 @@ repo path — ``src/…``, ``tests/…``, ``benchmarks/…``, ``examples/…``,
 ``bench/…``, or a ``dist/script.py``-style path under ``src/repro/`` —
 must exist.  A ``::name`` suffix names a definition and is ignored, a
 ``*`` pattern must match something, and a ``{a,b}`` group is not read.
+A dotted ``repro.a.b`` name must resolve segment by segment: to a
+subpackage, or to a module or a package ``__all__`` name, where checking
+stops.
 """
 
 from __future__ import annotations
@@ -110,16 +113,45 @@ class DocstringCoverageRule(Rule):
 
 
 _BACKTICKED = re.compile(r"`([^`\s]+)`")
+_DOTTED = re.compile(r"repro(?:\.\w+)+")
 _TOP_DIRS = ("src", "tests", "benchmarks", "examples", "bench")
 
 
+def _package_all(pkg: Path) -> list[str]:
+    """The names ``pkg/__init__.py`` lists in ``__all__``."""
+    init = pkg / "__init__.py"
+    if init.is_file():
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                return list(ast.literal_eval(node.value))
+    return []
+
+
+def _live_dotted(name: str, root: Path) -> bool:
+    """Whether the dotted ``repro.…`` ``name`` resolves under ``root/src``."""
+    pkg = root / "src" / "repro"
+    for seg in name.split(".")[1:]:
+        if not (pkg / seg).is_dir():
+            return (pkg / f"{seg}.py").is_file() or seg in _package_all(pkg)
+        pkg = pkg / seg
+    return True
+
+
 def stale_doc_paths(text: str, root: Path) -> list[tuple[int, str]]:
-    """``(line, token)`` for every backticked repo path in the markdown
-    ``text`` that does not exist in the checkout at ``root``."""
+    """``(line, token)`` for every backticked repo path or dotted module
+    name in the markdown ``text`` that does not exist in the checkout at
+    ``root``."""
     stale = []
     for lineno, line in enumerate(text.splitlines(), 1):
         for token in _BACKTICKED.findall(line):
             path = token.split("::")[0].rstrip("/")
+            dotted = _DOTTED.match(path)
+            if dotted:
+                if not _live_dotted(dotted.group(), root):
+                    stale.append((lineno, token))
+                continue
             head, slash, _rest = path.partition("/")
             if not (head and slash) or any(c in path for c in "…<{"):
                 continue  # not a relative path, or a placeholder
@@ -131,7 +163,8 @@ def stale_doc_paths(text: str, root: Path) -> list[tuple[int, str]]:
 
 @register
 class DocPathRule(Rule):
-    """DOC002: a repo path named in DESIGN.md or README.md must exist.
+    """DOC002: a repo path or dotted module name in DESIGN.md or
+    README.md must exist.
 
     The documents are those of the checkout the analyzer runs from
     (an installed package has none), read once per lint run."""
@@ -156,5 +189,5 @@ class DocPathRule(Rule):
                 for line, token in stale_doc_paths(text, root):
                     yield Finding(
                         self.info.id, self.info.severity, doc, line,
-                        f"`{token}` names a path that does not exist",
+                        f"`{token}` names a path or module that does not exist",
                     )

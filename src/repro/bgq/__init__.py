@@ -14,8 +14,6 @@ from repro.bgq.kernel import CnkNoise, LinuxJitter, NoiseModel, expected_sync_in
 from repro.bgq.memory import BGQ_MEMORY, MemoryHierarchy
 from repro.bgq.network import TorusNetworkModel
 from repro.bgq.node import BGQ_NODE, NodeSpec, RunShape
-from repro.bgq.partition import NODES_PER_MIDPLANE, NODES_PER_RACK, Partition
-from repro.bgq.power import BGQ_POWER, XEON_CLUSTER_POWER, PowerModel, energy_to_solution_kwh
 from repro.bgq.torus import KNOWN_SHAPES, TorusShape, torus_shape_for_nodes
 
 __all__ = [
@@ -34,13 +32,6 @@ __all__ = [
     "BGQ_NODE",
     "NodeSpec",
     "RunShape",
-    "NODES_PER_MIDPLANE",
-    "NODES_PER_RACK",
-    "Partition",
-    "BGQ_POWER",
-    "XEON_CLUSTER_POWER",
-    "PowerModel",
-    "energy_to_solution_kwh",
     "KNOWN_SHAPES",
     "TorusShape",
     "torus_shape_for_nodes",

@@ -38,6 +38,7 @@ regresses past the relative threshold.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.dist import IterationScript
@@ -68,6 +69,19 @@ def _parse_shape(spec: str):
         return RunShape.parse(spec)
     except ValueError as exc:
         raise _InputError(f"{spec}: {exc}") from None
+
+
+def _positive(kind):
+    """An argparse ``type=``: a finite ``kind`` (``float`` or ``int``) > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value"
+    return parse
 
 
 def _script(args: argparse.Namespace) -> IterationScript:
@@ -685,12 +699,13 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser with all subcommands."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--hours", type=float, default=50.0, help="corpus hours")
-    shared.add_argument("--scale", type=float, default=2e-4,
+    shared.add_argument("--hours", type=_positive(float), default=50.0, help="corpus hours")
+    shared.add_argument("--scale", type=_positive(float), default=2e-4,
                         help="materialized fraction for real-math commands")
-    shared.add_argument("--iters", type=int, default=2,
+    shared.add_argument("--iters", type=_positive(int), default=2,
                         help="HF iterations (real or simulated)")
-    shared.add_argument("--hidden", type=int, default=48, help="hidden width (train)")
+    shared.add_argument("--hidden", type=_positive(int), default=48,
+                        help="hidden width (train)")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument(
         "--obs",

@@ -26,12 +26,6 @@ from repro.harness.counterflow import (
     run_counterflow,
 )
 from repro.harness.runreport import build_run_report, report_records
-from repro.harness.export import (
-    export_breakdowns_json,
-    export_scaling_csv,
-    export_scaling_json,
-    export_table1_json,
-)
 from repro.harness.report import render_cycles, render_mpi_split, render_series, render_table
 from repro.harness.scaling import (
     FIG1A_CONFIGS,
@@ -73,10 +67,6 @@ __all__ = [
     "run_breakdowns",
     "CalibrationRun",
     "calibrated_script",
-    "export_breakdowns_json",
-    "export_scaling_csv",
-    "export_scaling_json",
-    "export_table1_json",
     "render_cycles",
     "render_mpi_split",
     "render_series",

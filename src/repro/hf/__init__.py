@@ -11,7 +11,6 @@ paper omits (:mod:`~repro.hf.preconditioner`).
 
 from repro.hf.cg import CGConfig, CGResult, cg_minimize
 from repro.hf.damping import DampingDecision, DampingSchedule
-from repro.hf.ksd import KSDConfig, KSDResult, KrylovSubspaceDescent, build_krylov_basis
 from repro.hf.linesearch import ArmijoConfig, ArmijoResult, armijo_backtrack
 from repro.hf.optimizer import HessianFreeOptimizer
 from repro.hf.preconditioner import (
@@ -28,10 +27,6 @@ __all__ = [
     "cg_minimize",
     "DampingDecision",
     "DampingSchedule",
-    "KSDConfig",
-    "KSDResult",
-    "KrylovSubspaceDescent",
-    "build_krylov_basis",
     "ArmijoConfig",
     "ArmijoResult",
     "armijo_backtrack",

@@ -27,7 +27,6 @@ from repro.nn.losses import (
     UtteranceSpan,
     frame_error_count,
 )
-from repro.nn.async_sgd import AsyncSGDConfig, AsyncSGDResult, async_sgd_train
 from repro.nn.lbfgs import LBFGSConfig, LBFGSResult, lbfgs_minimize, lbfgs_train
 from repro.nn.network import DNN, ForwardCache
 from repro.nn.parallel_sgd import (
@@ -66,9 +65,6 @@ __all__ = [
     "SGDConfig",
     "SGDResult",
     "sgd_train",
-    "AsyncSGDConfig",
-    "AsyncSGDResult",
-    "async_sgd_train",
     "LBFGSConfig",
     "LBFGSResult",
     "lbfgs_minimize",

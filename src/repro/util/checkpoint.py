@@ -10,6 +10,7 @@ trajectory) — everything needed to resume Algorithm 1 mid-training.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,22 +71,32 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not one (truncated, empty, foreign bytes, missing or
+    malformed metadata) raises one ``ValueError`` naming the path.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
-    with np.load(path) as data:
-        blob = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        if blob.get("version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format {blob.get('version')} is not supported "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        return Checkpoint(
-            theta=data["theta"].copy(),
-            iteration=int(blob["iteration"]),
-            lam=float(blob["lam"]),
-            d0=data["d0"].copy() if blob["has_d0"] else None,
-            heldout_trajectory=list(blob["heldout_trajectory"]),
-            metadata=dict(blob["metadata"]),
+    try:
+        with np.load(path) as data:
+            blob = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            version = blob.get("version")
+            if version == _FORMAT_VERSION:
+                ckpt = Checkpoint(
+                    theta=data["theta"].copy(),
+                    iteration=int(blob["iteration"]),
+                    lam=float(blob["lam"]),
+                    d0=data["d0"].copy() if blob["has_d0"] else None,
+                    heldout_trajectory=list(blob["heldout_trajectory"]),
+                    metadata=dict(blob["metadata"]),
+                )
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: not a readable checkpoint ({reason})") from None
+    if version != _FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint format {version} is not supported (expected {_FORMAT_VERSION})"
         )
+    return ckpt

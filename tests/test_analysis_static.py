@@ -685,6 +685,22 @@ class TestDocPaths:
             (2, "tests/test_*_gone.py"),
         ]
 
+    def test_dotted_module_names(self, root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        (root / "src/repro/obs").mkdir()
+        (root / "src/repro/obs/__init__.py").write_text('__all__ = ["MetricsRegistry"]\n')
+        text = (
+            "`repro.dist.script.IterationScript` and `repro.obs.MetricsRegistry`\n"
+            "are live; `repro.dist.ksd` and `repro.obs.PowerModel` are not,\n"
+            "nor is `repro.gone.module`.\n"
+        )
+        assert stale_doc_paths(text, root) == [
+            (2, "repro.dist.ksd"),
+            (2, "repro.obs.PowerModel"),
+            (3, "repro.gone.module"),
+        ]
+
     def test_rule_reports_into_this_checkouts_documents(self, monkeypatch):
         """Every lint run reads DESIGN.md and README.md, which are clean."""
         from repro.analysis import doc_rules

@@ -1,5 +1,5 @@
 """A2 core, node/run-shape validation, memory hierarchy, cycle model,
-network cost model, partition bookkeeping, and OS-noise models."""
+network cost model, and OS-noise models."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.bgq import (
     CnkNoise,
     CycleModel,
     LinuxJitter,
-    Partition,
     RunShape,
     TorusNetworkModel,
     expected_sync_inflation,
@@ -169,27 +168,6 @@ class TestTorusNetworkModel:
         assert m.node_of(15) == 3
         with pytest.raises(ValueError):
             m.node_of(16)
-
-
-class TestPartition:
-    def test_rack_arithmetic(self):
-        p = Partition(2048)
-        assert p.racks == 2.0
-        assert p.midplanes == 4.0
-        assert p.peak_gflops == pytest.approx(2048 * 204.8)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            Partition(1000)
-
-    def test_for_run_picks_smallest(self):
-        shape = RunShape.parse("4096-4-16")
-        assert Partition.for_run(shape).nodes == 1024
-
-    def test_shape_for(self):
-        p = Partition(1024)
-        s = p.shape_for(4, 16)
-        assert s.ranks == 4096
 
 
 class TestNoise:

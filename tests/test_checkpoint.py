@@ -48,6 +48,50 @@ def test_missing_file(tmp_path):
         load_checkpoint(tmp_path / "nope.npz")
 
 
+def _damaged(path, how):
+    """Write a damaged checkpoint at ``path``; ``how`` names the damage."""
+    save_checkpoint(path, Checkpoint(theta=np.arange(4.0)))
+    raw = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif how == "empty":
+        path.write_bytes(b"")
+    elif how == "not_npz":
+        path.write_bytes(b"\x80this is not a checkpoint")
+    elif how == "no_meta":
+        np.savez(path, theta=np.arange(4.0))
+    else:  # malformed metadata
+        meta = np.frombuffer(b"{not json", dtype=np.uint8)
+        np.savez(path, theta=np.arange(4.0), meta_json=meta)
+
+
+@pytest.mark.parametrize(
+    "how,cause",
+    [
+        ("truncated", "BadZipFile"),
+        ("empty", "EOFError"),
+        ("not_npz", "ValueError"),
+        ("no_meta", "KeyError"),
+        ("malformed_meta", "JSONDecodeError"),
+    ],
+)
+def test_unreadable_file_is_one_typed_error(tmp_path, how, cause):
+    """Each damage used to surface as its own exception type (the
+    ``cause`` named in the message)."""
+    path = tmp_path / "c.npz"
+    _damaged(path, how)
+    with pytest.raises(ValueError, match="not a readable checkpoint") as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: not a readable checkpoint ({cause}: ")
+
+
+def test_unsupported_version_keeps_its_own_error(tmp_path):
+    meta = np.frombuffer(b'{"version": 99}', dtype=np.uint8)
+    np.savez(tmp_path / "v.npz", theta=np.arange(4.0), meta_json=meta)
+    with pytest.raises(ValueError, match="checkpoint format 99 is not supported"):
+        load_checkpoint(tmp_path / "v.npz")
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Checkpoint(theta=np.zeros((2, 2)))

@@ -44,6 +44,33 @@ def test_shared_flags_after_subcommand():
     assert args.iters == 3 and args.hours == 5.0 and args.seed == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1a", "--hours", "0"],
+        ["fig1b", "--hours", "-1"],
+        ["breakdown", "--hours", "nan"],
+        ["train", "--iters", "0"],
+        ["train", "--hidden", "-3"],
+        ["table1", "--scale", "-1"],
+        ["scaling", "--hidden", "0"],
+        ["calibrate", "--hours", "inf"],
+    ],
+)
+def test_shared_numbers_are_validated_at_parse_time(capsys, argv):
+    """The first five used to end in a traceback with exit 1 (``--hours
+    nan``: "cannot convert float NaN to integer"); the last three ran
+    with exit 0."""
+    cmd, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro {cmd}: error: argument {flag}: must be finite and > 0, got {value}"
+    )
+
+
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

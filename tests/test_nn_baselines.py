@@ -194,72 +194,6 @@ class TestPretrain:
             PretrainConfig(noise_std=-0.1)
 
 
-class TestAsyncSGD:
-    def test_staleness_zero_learns_like_serial(self):
-        from repro.nn import AsyncSGDConfig, async_sgd_train
-
-        x, y = _problem(10, n=600)
-        net = DNN([6, 12, 4])
-        theta0 = net.init_params(0)
-        res = async_sgd_train(
-            net, theta0, x, y, CrossEntropyLoss(),
-            AsyncSGDConfig(n_workers=1, staleness=0, epochs=3),
-        )
-        assert res.epoch_losses[-1] < res.epoch_losses[0]
-
-    def test_moderate_staleness_still_learns(self):
-        from repro.nn import AsyncSGDConfig, async_sgd_train
-
-        x, y = _problem(11, n=600)
-        net = DNN([6, 12, 4])
-        res = async_sgd_train(
-            net, net.init_params(0), x, y, CrossEntropyLoss(),
-            AsyncSGDConfig(n_workers=4, staleness=4, epochs=3),
-        )
-        assert res.epoch_losses[-1] < res.epoch_losses[0]
-
-    def test_extreme_staleness_degrades(self):
-        """The async trade-off: very stale gradients hurt convergence at
-        the same learning rate (why async SGD needs careful tuning)."""
-        from repro.nn import AsyncSGDConfig, async_sgd_train
-
-        x, y = _problem(12, n=600)
-        net = DNN([6, 12, 4])
-        theta0 = net.init_params(0)
-        fresh = async_sgd_train(
-            net, theta0, x, y, CrossEntropyLoss(),
-            AsyncSGDConfig(n_workers=4, staleness=0, epochs=3,
-                           learning_rate=0.3, seed=1),
-        )
-        stale = async_sgd_train(
-            net, theta0, x, y, CrossEntropyLoss(),
-            AsyncSGDConfig(n_workers=4, staleness=40, epochs=3,
-                           learning_rate=0.3, seed=1),
-        )
-        assert stale.epoch_losses[-1] > fresh.epoch_losses[-1]
-
-    def test_heldout_and_updates_tracked(self):
-        from repro.nn import AsyncSGDConfig, async_sgd_train
-
-        x, y = _problem(13, n=300)
-        hx, hy = _problem(14, n=60)
-        net = DNN([6, 8, 4])
-        res = async_sgd_train(
-            net, net.init_params(0), x, y, CrossEntropyLoss(),
-            AsyncSGDConfig(n_workers=2, epochs=2), heldout=(hx, hy),
-        )
-        assert len(res.heldout_losses) == 2
-        assert res.n_updates > 0
-
-    def test_validation(self):
-        from repro.nn import AsyncSGDConfig
-
-        with pytest.raises(ValueError):
-            AsyncSGDConfig(n_workers=0)
-        with pytest.raises(ValueError):
-            AsyncSGDConfig(staleness=-1)
-
-
 class TestGradientBuckets:
     def test_bucket_bytes_partition_exactly(self):
         from repro.nn.parallel_sgd import GradientBucketPlan
