@@ -10,7 +10,7 @@ Two halves, meeting in :mod:`repro.dist.simulated`:
   message drops through :class:`repro.vmpi.comm.VComm`, link-time
   scaling through a wrapped network model).  With no plan attached every
   hook is a single ``is None`` check — the zero-cost gating discipline
-  of ``_run_instrumented`` / ``_fast_p2p``.
+  of the engine's pop binding in ``Engine.run`` and of ``_fast_p2p``.
 * **Recovery** — a :class:`FaultPolicy` opts the HF master/worker
   protocol into timeout-driven retries, dead-worker exclusion with
   gradient renormalization, quorum-based partial-batch CG, and

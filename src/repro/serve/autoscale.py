@@ -72,12 +72,14 @@ def autoscaler_process(
     """DES process body: the sampling loop of the reactive controller.
 
     ``state`` is the scenario's :class:`~repro.serve.scenario.ServeState`.
-    The scenario kills this process at shutdown (it would otherwise idle
-    until the next sampling tick and stretch the reported finish time).
+    The loop returns once every replica is excluded (none is active and
+    none can be activated); otherwise the scenario kills it at shutdown
+    (it would idle until the next sampling tick and stretch the reported
+    finish time).
     """
     while True:
         yield policy.interval_s
-        if state.stopping:
+        if state.all_excluded:
             return
         active = [r for r in state.replica_ids if state.active[r]]
         n = len(active)

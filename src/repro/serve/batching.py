@@ -13,6 +13,10 @@ is counted ``timed_out`` and never dispatched.  A batch that is closed
 and waiting for a free replica is considered in service — its
 requests no longer expire (matching admission-timeout semantics in
 real servers, where timers cover the queue, not the GPU).
+
+Once every replica is crash-excluded, the batcher fails the batch it
+holds and then every request it dequeues: each counts ``failed``, so
+the run still drains and conserves requests.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ def batcher_process(
     """DES process body: assemble batches and assign them to replicas.
 
     ``state`` is the scenario's :class:`~repro.serve.scenario.ServeState`
-    (idle/work stores, active flags, stopping flag).  ``timeout_s`` is
-    the per-request admission deadline (``None`` disables expiry).
+    (idle/work stores, active flags, stopping and all-excluded flags).
+    ``timeout_s`` is the per-request admission deadline (``None``
+    disables expiry).
     """
     store = queue.store
 
@@ -78,6 +83,10 @@ def batcher_process(
         if first is WAKE:
             if state.stopping:
                 return
+            continue
+        if state.all_excluded:
+            log.note_failed(1)
+            yield Put(state.done_store, 1)
             continue
         if expired(first):
             log.note_timed_out()
@@ -107,12 +116,17 @@ def batcher_process(
             batch.append(item)
         # hand the closed batch to the first idle *active* replica;
         # tokens of deactivated replicas are retired here (the lazy half
-        # of the autoscaler's scale-down)
-        while True:
+        # of the autoscaler's scale-down); the loop ends without a
+        # replica only once every replica is excluded
+        while not state.all_excluded:
             r = yield Get(state.idle_store)
             if state.active[r]:
                 break
             state.in_circulation[r] = False
+        else:
+            log.note_failed(len(batch))
+            yield Put(state.done_store, 1)
+            continue
         log.note_dispatch(len(batch))
         yield Put(state.work[r], tuple(batch))
         if saw_wake and state.stopping:

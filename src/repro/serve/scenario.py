@@ -150,6 +150,9 @@ class ServeState:
         }
         self.done_store = engine.new_store("serve.done")
         self.stopping = False
+        self.all_excluded = False
+        """True once every replica is crash-excluded: excluded replicas
+        never return, so nothing can serve a request any more."""
 
     def now(self) -> float:
         """Current virtual time."""
@@ -263,9 +266,14 @@ def _courier(
             state.active[r] = False
             state.excluded[r] = True
             state.in_circulation[r] = False
+            state.all_excluded = all(state.excluded.values())
             log.note_failed(len(batch))
             log.note_excluded(r, ctx.now)
             yield Put(state.done_store, 1)
+            if state.all_excluded:
+                # hand the dead token back: a batcher waiting for a
+                # replica wakes, retires it and fails its batch
+                yield Put(state.idle_store, r)
             return
         now = ctx.now
         for q in batch:

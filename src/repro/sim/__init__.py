@@ -17,7 +17,6 @@ from repro.sim.engine import (
     SimError,
     SimProcess,
     Store,
-    Timeout,
     run_all,
 )
 from repro.sim.trace import Span, Tracer
@@ -32,7 +31,6 @@ __all__ = [
     "SimError",
     "SimProcess",
     "Store",
-    "Timeout",
     "run_all",
     "Span",
     "Tracer",

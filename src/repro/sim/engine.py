@@ -2,10 +2,10 @@
 
 A minimal but complete process-oriented DES in the style of SimPy, used
 as the execution substrate for the virtual MPI layer (:mod:`repro.vmpi`).
-Simulated processes are Python generators that ``yield`` command objects
-(:class:`Timeout`, :class:`Get`, :class:`Put`, :class:`AllOf`); the
-engine advances a virtual clock and resumes processes when their commands
-complete.
+Simulated processes are Python generators that ``yield`` commands — a
+bare ``float`` delay, :class:`Get`, :class:`Put`, :class:`AllOf` or
+:class:`VectorPhase`; the engine advances a virtual clock and resumes
+processes when their commands complete.
 
 Determinism: events at equal virtual time fire in FIFO order of their
 scheduling (a monotone sequence number breaks ties), so a given set of
@@ -22,6 +22,8 @@ deque head's ``seq``, which reproduces the single-heap FIFO order
 exactly: ready entries are always stamped at the current virtual time,
 and heap entries never lie in the past (delays are >= 0 and the clock is
 monotone), so seq comparison at equal time is the only tie-break needed.
+There is one run loop: with a metrics registry attached it pops through
+two tallied closures instead of the bare deque and heap pops.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Any, Callable, Generator, Iterable
 __all__ = [
     "Engine",
     "SimProcess",
-    "Timeout",
     "Get",
     "Put",
     "AllOf",
@@ -69,23 +70,6 @@ class GetTimeout(SimError):
 
 Command = Any
 ProcessBody = Generator[Command, Any, Any]
-
-
-class Timeout:
-    """Suspend the yielding process for ``delay`` units of virtual time.
-
-    Yielding a bare ``float`` is accepted as shorthand with identical
-    semantics; hot paths use it to skip the wrapper allocation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout {delay!r}")
-        self.delay = delay
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Timeout({self.delay!r})"
 
 
 class Store:
@@ -159,34 +143,26 @@ class Get:
     ``source`` / ``tag`` are the indexed-matching alternative to
     ``predicate``: against a :class:`~repro.vmpi.comm.Mailbox` they
     select by key (``None`` meaning wildcard) without calling back into
-    Python per item.  ``detail`` and ``waits_on`` are diagnostic
-    annotations: ``detail`` is a human description of the pending
-    operation (shown in deadlock reports), ``waits_on`` names the process
-    that would have to act for this get to complete (an edge of the
-    wait-for graph; ``None`` means "anyone", e.g. an ``ANY_SOURCE``
-    receive).  Both may be omitted — indexed stores reconstruct them on
-    demand, so the common case pays nothing for diagnostics.  ``timeout``,
-    when set, bounds the wait in virtual seconds: on expiry a
-    :class:`GetTimeout` is thrown into the blocked process at the
-    ``yield``.
+    Python per item.  Deadlock reports describe a blocked get, and name
+    the process it waits on, through the store's optional
+    ``describe_get`` / ``waits_on`` methods, built only when a report is
+    made.  ``timeout``, when set, bounds the wait in virtual seconds: on
+    expiry a :class:`GetTimeout` is thrown into the blocked process at
+    the ``yield``.
     """
 
-    __slots__ = ("store", "predicate", "detail", "waits_on", "timeout", "source", "tag")
+    __slots__ = ("store", "predicate", "timeout", "source", "tag")
 
     def __init__(
         self,
         store: Any,
         predicate: Callable[[Any], bool] | None = None,
-        detail: str | None = None,
-        waits_on: str | None = None,
         timeout: float | None = None,
         source: int | None = None,
         tag: int | None = None,
     ) -> None:
         self.store = store
         self.predicate = predicate
-        self.detail = detail
-        self.waits_on = waits_on
         self.timeout = timeout
         self.source = source
         self.tag = tag
@@ -283,16 +259,12 @@ def _describe_command(cmd: Command) -> str:
     """Human description of a blocking command, built lazily — only
     deadlock/timeout reports and debug reprs ever pay for formatting."""
     if isinstance(cmd, Get):
-        if cmd.detail is not None:
-            return cmd.detail
         describe = getattr(cmd.store, "describe_get", None)
         if describe is not None:
             return describe(cmd)
         return f"get({cmd.store.name})"
     if isinstance(cmd, AllOf):
         return f"allof({len(cmd.processes)})"
-    if isinstance(cmd, Timeout):  # pragma: no cover - cannot deadlock
-        return f"timeout({cmd.delay:g})"
     if isinstance(cmd, float):  # pragma: no cover - cannot deadlock
         return f"timeout({cmd:g})"
     return "?"  # pragma: no cover - defensive
@@ -301,8 +273,6 @@ def _describe_command(cmd: Command) -> str:
 def _waits_on(cmd: Command) -> str | None:
     """Wait-for-graph successor of a blocked command, if known."""
     if isinstance(cmd, Get):
-        if cmd.waits_on is not None:
-            return cmd.waits_on
         waiter = getattr(cmd.store, "waits_on", None)
         if waiter is not None:
             return waiter(cmd)
@@ -339,8 +309,8 @@ class Engine:
         self._live = 0
         self._obs = None
         """Attached :class:`~repro.obs.metrics.MetricsRegistry`, or None.
-        Gates the instrumented run loop; when None the engine pays
-        nothing for observability (one check per :meth:`run` call)."""
+        Selects :meth:`run`'s pop functions once per call: the bare
+        deque and heap pops when None, the tallied pops otherwise."""
         # event-loop tallies, folded into the registry by the collector
         self._obs_events = [0, 0, 0]  # resume / put / action, by kind
         self._obs_peak_heap = 0
@@ -356,10 +326,10 @@ class Engine:
         heap depth, and peak ready-deque occupancy, reported through
         ``registry`` at snapshot time.
 
-        Purely passive — the instrumented loop fires events in exactly
-        the order of the plain loop, so simulated timelines are
-        bit-identical with observability on or off (pinned by the
-        determinism goldens).  Attaching twice with the same registry is
+        Purely passive — the tallied pops return exactly the entries
+        the bare pops would, so simulated timelines are bit-identical
+        with observability on or off (pinned by the determinism
+        goldens).  Attaching twice with the same registry is
         a no-op; re-attaching with a different one is an error.
         """
         if registry is self._obs:
@@ -484,8 +454,6 @@ class Engine:
         unfinished processes remain when the event queue drains — this is
         how mismatched sends/receives in rank programs surface.
         """
-        if self._obs is not None:
-            return self._run_instrumented(until)
         if until is not None and self._now > until:
             # The clock already sits past ``until``: firing anything
             # (even zero-delay ready entries, which are stamped at the
@@ -494,7 +462,11 @@ class Engine:
             return self._now
         queue = self._queue
         ready = self._ready
-        heappop = heapq.heappop
+        if self._obs is None:
+            pop_ready = ready.popleft
+            pop_queue = heapq.heappop
+        else:
+            pop_ready, pop_queue = self._tallied_pops()
         resume = self._resume
         do_put = self._do_put
         while queue or ready:
@@ -506,13 +478,13 @@ class Engine:
                 or queue[0][0] > self._now
                 or ready[0][0] < queue[0][1]
             ):
-                _, kind, a, b = ready.popleft()
+                _, kind, a, b = pop_ready()
             else:
                 time = queue[0][0]
                 if until is not None and time > until:
                     self._now = until
                     return until
-                _, _, kind, a, b = heappop(queue)
+                _, _, kind, a, b = pop_queue(queue)
                 self._now = time
             if kind == 0:
                 resume(a, b)
@@ -524,69 +496,36 @@ class Engine:
             raise self._deadlock_error()
         return self._now
 
-    def _run_instrumented(self, until: float | None) -> float:
-        """:meth:`run` with event-loop tallies — a verbatim copy of the
-        plain loop plus a few integer updates per event, kept separate so
-        the uninstrumented path stays untouched (the zero-cost gate).
+    def _tallied_pops(self) -> tuple[Callable[[], Any], Callable[[list], Any]]:
+        """:meth:`run`'s pop functions with a registry attached: each
+        samples its structure's depth just before popping, then counts
+        the popped event by kind.
 
-        Peak depths are sampled just before each pop from the respective
-        structure: both structures only shrink at their own pops, so the
-        pre-pop length majorizes every length since the previous pop and
-        the sampled maximum equals the true maximum.
+        Both structures only shrink at their own pops, so the pre-pop
+        length majorizes every length since the previous pop and the
+        sampled maximum equals the true maximum.
         """
-        if until is not None and self._now > until:
-            return self._now  # same past-the-cap guard as the plain loop
-        queue = self._queue
         ready = self._ready
-        heappop = heapq.heappop
-        resume = self._resume
-        do_put = self._do_put
         events = self._obs_events
-        # local ints (written back in ``finally``) — a list-indexed
-        # increment per event costs measurably more than a branch-local
-        # integer bump at macro event volumes
-        n_resume = n_put = n_action = 0
-        peak_heap = self._obs_peak_heap
-        peak_ready = self._obs_peak_ready
-        try:
-            while queue or ready:
-                if ready and (
-                    not queue
-                    or queue[0][0] > self._now
-                    or ready[0][0] < queue[0][1]
-                ):
-                    depth = len(ready)
-                    if depth > peak_ready:
-                        peak_ready = depth
-                    _, kind, a, b = ready.popleft()
-                else:
-                    time = queue[0][0]
-                    if until is not None and time > until:
-                        self._now = until
-                        return until
-                    depth = len(queue)
-                    if depth > peak_heap:
-                        peak_heap = depth
-                    _, _, kind, a, b = heappop(queue)
-                    self._now = time
-                if kind == 0:
-                    n_resume += 1
-                    resume(a, b)
-                elif kind == 1:
-                    n_put += 1
-                    do_put(a, b)
-                else:
-                    n_action += 1
-                    a()
-        finally:
-            events[0] += n_resume
-            events[1] += n_put
-            events[2] += n_action
-            self._obs_peak_heap = peak_heap
-            self._obs_peak_ready = peak_ready
-        if self._live > 0:
-            raise self._deadlock_error()
-        return self._now
+        heappop = heapq.heappop
+
+        def pop_ready() -> Any:
+            depth = len(ready)
+            if depth > self._obs_peak_ready:
+                self._obs_peak_ready = depth
+            entry = ready.popleft()
+            events[entry[1]] += 1
+            return entry
+
+        def pop_queue(queue: list) -> Any:
+            depth = len(queue)
+            if depth > self._obs_peak_heap:
+                self._obs_peak_heap = depth
+            entry = heappop(queue)
+            events[entry[2]] += 1
+            return entry
+
+        return pop_ready, pop_queue
 
     def _deadlock_error(self) -> DeadlockError:
         """Build the wait-for-graph diagnostic for a drained event queue.
@@ -653,11 +592,10 @@ class Engine:
             raise
         cls = command.__class__
         if cls is float:
-            # Bare-float shorthand for Timeout(delay): the per-message
-            # injection waits and modeled compute charges dominate event
-            # volume, and at that volume the Timeout wrapper allocation
-            # is measurable.  Semantics are identical to yielding
-            # Timeout(command).
+            # The one delay form: suspend for ``command`` virtual
+            # seconds.  A bare float, not a wrapper object — injection
+            # waits and modeled compute charges dominate event volume,
+            # and at that volume an allocation per delay is measurable.
             if command == 0.0:
                 proc._blocked_cmd = command
                 self._ready.append((self._seq, 0, proc, None))
@@ -668,16 +606,6 @@ class Engine:
                 )
             else:
                 raise ValueError(f"negative timeout {command!r}")
-            self._seq += 1
-        elif cls is Timeout:
-            proc._blocked_cmd = command
-            delay = command.delay
-            if delay == 0.0:
-                self._ready.append((self._seq, 0, proc, None))
-            else:
-                heapq.heappush(
-                    self._queue, (self._now + delay, self._seq, 0, proc, None)
-                )
             self._seq += 1
         elif cls is Get:
             store = command.store
@@ -718,9 +646,6 @@ class Engine:
             else:
                 heapq.heappush(self._queue, (end, self._seq, 0, proc, value))
             self._seq += 1
-        elif isinstance(command, Timeout):  # pragma: no cover - subclass path
-            proc._blocked_cmd = command
-            self.schedule(command.delay, lambda: self._resume(proc, None))
         elif isinstance(command, float):  # float subclass, e.g. np.float64
             proc._blocked_cmd = command
             delay = float(command)
@@ -760,7 +685,7 @@ class Engine:
             self._seq += 1
 
     def _expire_get(self, store: Store, entry: Any, command: Get) -> None:
-        """Timeout hook for :class:`Get`: if the getter is still parked,
+        """Expiry hook for :class:`Get`'s ``timeout``: if the getter is still parked,
         unpark it and throw :class:`GetTimeout` at its ``yield``."""
         proc = entry[0]
         if proc._blocked_cmd is not command:

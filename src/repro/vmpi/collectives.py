@@ -34,7 +34,6 @@ from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.sim.engine import Timeout
 from repro.vmpi.comm import RankCtx
 from repro.vmpi.costmodel import PayloadStub
 from repro.vmpi.ops import SUM, ReduceOp
@@ -925,7 +924,7 @@ def barrier(ctx: RankCtx) -> Generator:
     """Synchronize all ranks (zero-byte allreduce)."""
     _record(ctx, "barrier")
     yield from allreduce(ctx, 0, SUM)
-    # A zero-length timeout keeps single-rank barriers well-formed
-    # (every collective must yield at least once to be a generator).
-    yield Timeout(0.0)
+    # A zero delay keeps single-rank barriers well-formed (every
+    # collective must yield at least once to be a generator).
+    yield 0.0
     return None

@@ -35,7 +35,7 @@ from typing import Any, Callable, Generator, Iterable, NamedTuple
 import numpy as np
 
 from repro.analysis.runtime import CollectiveOrderChecker
-from repro.sim.engine import Engine, Get, GetTimeout, SimError, Timeout
+from repro.sim.engine import Engine, Get, GetTimeout, SimError
 from repro.sim.trace import Tracer
 from repro.vmpi.costmodel import NetworkModel, UniformNetwork, delivery, nbytes_of
 

@@ -1,6 +1,8 @@
 """CLI entry points (fast paths only)."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +196,32 @@ def test_python_dash_m_repro_is_the_cli():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: repro lint")
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--autoscale", "--min-replicas", "1"]], ids=["fixed", "autoscaled"]
+)
+def test_serve_with_every_replica_lost_prints_the_result(tmp_path, capsys, extra):
+    """A plan that crashes both replicas used to end ``repro serve`` in a
+    ``DeadlockError`` traceback, or, with ``--autoscale``, never end."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "events": [{"kind": "node_crash", "rank": r, "at": 0.5} for r in (1, 2)]
+    }))
+    argv = ["serve", "--replicas", "2", "--horizon", "2", "--fault-plan", str(plan)]
+    assert main(argv + extra) == 0
+    out = capsys.readouterr().out
+    counts = re.search(
+        r"requests: (\d+) generated, (\d+) admitted, (\d+) completed, "
+        r"(\d+) dropped, (\d+) timed out, (\d+) failed",
+        out,
+    )
+    assert counts, out
+    generated, admitted, completed, dropped, timed_out, failed = map(int, counts.groups())
+    assert failed > 0
+    assert generated == admitted + dropped
+    assert admitted == completed + timed_out + failed
+    assert "excluded replicas: r" in out
 
 
 @pytest.mark.parametrize(

@@ -464,7 +464,8 @@ class TestFaultTolerantGoldens:
         assert res.excluded_ranks == excluded
         # the master's attribution, where every recovery charge lands; a
         # mostly idle worker's tracked time can sit on a round-to-even tie
-        # that no `wait` closes (ROADMAP 4b), so workers are not asserted
+        # that no `wait` closes (DESIGN §7, "Attribution model"), so
+        # workers are not asserted
         assert res.attribution([0]).rank(0).total == res.finish_time
         again = simulate_training(cfg)
         assert repr(again.finish_time) == finish

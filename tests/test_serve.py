@@ -254,6 +254,29 @@ def test_crash_fault_compose_is_deterministic():
     assert a.excluded == b.excluded
 
 
+@pytest.mark.parametrize(
+    "autoscale", [None, AutoscalePolicy(min_replicas=1)], ids=["fixed", "autoscaled"]
+)
+def test_every_replica_lost_fails_requests_and_returns(autoscale):
+    """Both replicas crash at 0.5 s.  Without an autoscaler the run used
+    to end in a raw ``DeadlockError`` (the batcher waited for a replica
+    forever); with one it never returned (the controller ticked on with
+    nothing left to activate).  Once the last replica is excluded, the
+    batch the batcher holds, the queue and later arrivals all fail."""
+    cfg = ServeConfig(
+        replicas=2,
+        horizon_s=2.0,
+        fault_plan=FaultPlan(events=(NodeCrash(1, 0.5), NodeCrash(2, 0.5))),
+        autoscale=autoscale,
+    )
+    r = simulate_serving(cfg)
+    assert r.execution_path == "des"
+    assert r.failed > 0 and r.completed == 0
+    assert r.generated == r.admitted + r.dropped
+    assert r.admitted == r.completed + r.timed_out + r.failed
+    assert sorted(rep for rep, _at in r.excluded) == [1, 2]
+
+
 # ------------------------------------------------------------- validation
 def test_serve_config_validation():
     with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from repro.dist import (
     SimWorkload,
     simulate_training,
 )
-from repro.sim.engine import Engine, Get, Put, Timeout
+from repro.sim.engine import Engine, Get, Put
 from repro.vmpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -54,7 +54,7 @@ def _digest(obj: object) -> str:
 # --------------------------------------------------------------- fixtures
 def _engine_storm_digest() -> tuple[str, str]:
     """Zero-delay storm on raw engine primitives: many processes racing
-    Put/Get/Timeout(0) on shared stores — every completion order below is
+    Put/Get/zero delays on shared stores — every completion order below is
     a pure FIFO tie-break at equal virtual time."""
     eng = Engine()
     log: list[tuple[str, float, object]] = []
@@ -64,7 +64,7 @@ def _engine_storm_digest() -> tuple[str, str]:
     def producer(name: str, burst: int):
         for i in range(burst):
             yield Put(shared, (name, i))
-            yield Timeout(0.0)
+            yield 0.0
         yield Put(side, name)
 
     def consumer(name: str, n: int, parity: int | None):

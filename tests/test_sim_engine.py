@@ -8,7 +8,6 @@ from repro.sim import (
     Engine,
     Get,
     Put,
-    Timeout,
     Tracer,
     run_all,
 )
@@ -19,9 +18,9 @@ def test_timeout_advances_clock():
     times = []
 
     def proc():
-        yield Timeout(1.5)
+        yield 1.5
         times.append(eng.now)
-        yield Timeout(2.5)
+        yield 2.5
         times.append(eng.now)
 
     eng.process(proc())
@@ -31,17 +30,23 @@ def test_timeout_advances_clock():
 
 
 def test_negative_timeout_rejected():
+    eng = Engine()
+
+    def proc():
+        yield -1.0
+
+    eng.process(proc())
     with pytest.raises(ValueError):
-        Timeout(-1.0)
+        eng.run()
 
 
 def test_processes_interleave_deterministically():
     order = []
 
     def proc(name, delay):
-        yield Timeout(delay)
+        yield delay
         order.append(name)
-        yield Timeout(delay)
+        yield delay
         order.append(name)
 
     _t, _ = run_all([proc("a", 1.0), proc("b", 0.6)])
@@ -52,7 +57,7 @@ def test_equal_time_events_fifo():
     order = []
 
     def proc(name):
-        yield Timeout(1.0)
+        yield 1.0
         order.append(name)
 
     run_all([proc("first"), proc("second"), proc("third")])
@@ -88,7 +93,7 @@ def test_get_blocks_until_put():
         arrival.append((item, eng.now))
 
     def producer(store):
-        yield Timeout(3.0)
+        yield 3.0
         yield Put(store, 42)
 
     store = eng.new_store()
@@ -150,7 +155,7 @@ def test_allof_waits_for_children():
     results = []
 
     def child(d, v):
-        yield Timeout(d)
+        yield d
         return v
 
     def parent():
@@ -167,19 +172,20 @@ def test_run_until_caps_time():
     eng = Engine()
 
     def proc():
-        yield Timeout(100.0)
+        yield 100.0
 
     eng.process(proc(), "slow")
     t = eng.run(until=10.0)
     assert t == 10.0
 
 
-def _until_scenario(eng):
-    """Stepped run: two sleepers crossing several ``until`` caps."""
+def _until_scenario(eng, after_cap=lambda: None):
+    """Stepped run: two sleepers crossing several ``until`` caps;
+    ``after_cap`` is called after each capped run."""
 
     def proc(delays):
         for d in delays:
-            yield Timeout(d)
+            yield d
 
     eng.process(proc([3.0, 3.0, 3.0]), "a")
     eng.process(proc([5.0, 5.0]), "b")
@@ -187,6 +193,7 @@ def _until_scenario(eng):
     for cap in (1.0, 4.0, 4.0, 0.5, 9.0, None):
         t = eng.run(until=cap)
         trail.append((t, eng.now, eng.finish_time))
+        after_cap()
     return trail
 
 
@@ -208,9 +215,85 @@ def test_run_until_plain_and_instrumented_agree():
     assert plain[-1] == (10.0, 10.0, 10.0)
 
 
+def _tallies(reg, eng):
+    """The engine's obs records as ``(resume, put, action, heap peak,
+    ready peak)``, after checking that every event popped so far was
+    counted exactly once: each scheduled event takes one seq number, so
+    the popped ones are those no longer queued."""
+    snap = reg.snapshot()
+    events = {
+        r["labels"]["kind"]: r["value"] for r in snap if r["metric"] == "sim.events"
+    }
+    peaks = {
+        r["metric"]: r["peak"]
+        for r in snap
+        if r["metric"] in ("sim.heap_depth", "sim.ready_depth")
+    }
+    assert sum(events.values()) == eng._seq - len(eng._queue) - len(eng._ready)
+    return (
+        events["resume"],
+        events["put"],
+        events["action"],
+        peaks["sim.heap_depth"],
+        peaks["sim.ready_depth"],
+    )
+
+
+def test_obs_tallies_exact_under_until_reentry():
+    """Event counts and pre-pop peak depths after every ``until`` cap,
+    including a cap already in the past: a capped run counts only the
+    events it fired, and re-entry neither recounts nor loses any.  The
+    pinned values were recorded from the engine's earlier separate
+    instrumented loop."""
+    from repro.obs import MetricsRegistry
+
+    reg = MetricsRegistry()
+    eng = Engine()
+    eng.attach_obs(reg)
+    seen = []
+    _until_scenario(eng, after_cap=lambda: seen.append(_tallies(reg, eng)))
+    assert seen == [
+        (2, 0, 0, 0.0, 2.0),
+        (3, 0, 0, 2.0, 2.0),
+        (3, 0, 0, 2.0, 2.0),
+        (3, 0, 0, 2.0, 2.0),
+        (6, 0, 0, 2.0, 2.0),
+        (7, 0, 0, 2.0, 2.0),
+    ]
+
+
+def test_obs_tallies_count_stale_timer_of_killed_process():
+    """A process killed while its timer is pending: the kill is one
+    action event, and the stale resume is still popped (and counted)
+    at its own time, then dropped by the killed guard."""
+    from repro.obs import MetricsRegistry
+
+    def sleeper(delays):
+        for d in delays:
+            yield d
+
+    reg = MetricsRegistry()
+    eng = Engine()
+    eng.attach_obs(reg)
+    victim = eng.process(sleeper([5.0, 1.0]), "victim")
+    eng.process(sleeper([0.0, 2.0, 4.0]), "bystander")
+    eng.schedule(1.0, lambda: eng.kill(victim))
+    seen = []
+    for cap in (0.5, 2.0, 5.5, None):
+        t = eng.run(until=cap)
+        seen.append((t, eng.finish_time, _tallies(reg, eng)))
+    assert victim.killed and victim.finished_at == 1.0
+    assert seen == [
+        (0.5, 0.0, (3, 0, 0, 0.0, 2.0)),
+        (2.0, 1.0, (4, 0, 1, 3.0, 2.0)),
+        (5.5, 1.0, (5, 0, 1, 3.0, 2.0)),
+        (6.0, 6.0, (6, 0, 1, 3.0, 2.0)),
+    ]
+
+
 def test_process_return_values():
     def proc(v):
-        yield Timeout(0.1)
+        yield 0.1
         return v * 2
 
     _t, values = run_all([proc(1), proc(2), proc(3)])
@@ -221,7 +304,7 @@ def test_process_exception_propagates():
     eng = Engine()
 
     def bad():
-        yield Timeout(1.0)
+        yield 1.0
         raise RuntimeError("boom")
 
     eng.process(bad(), "bad")
