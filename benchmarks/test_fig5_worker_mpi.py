@@ -18,8 +18,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from common import breakdown_runs
 
-from repro.dist.timeline import ordered_sum
 from repro.harness import render_mpi_split
+from repro.obs.attrib import ordered_sum
 
 
 def test_fig5_worker_mpi(benchmark):

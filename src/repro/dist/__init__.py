@@ -36,15 +36,6 @@ from repro.dist.threaded import (
     make_sequence_shards,
     train_threaded_hf,
 )
-from repro.dist.timeline import (
-    COLL,
-    COMPUTE,
-    P2P,
-    RankBreakdown,
-    cycles_breakdown,
-    label,
-    split_breakdown,
-)
 from repro.dist.workload import (
     GEOMETRY_50HR,
     GEOMETRY_400HR,
@@ -73,13 +64,6 @@ __all__ = [
     "make_frame_shards",
     "make_sequence_shards",
     "train_threaded_hf",
-    "COLL",
-    "COMPUTE",
-    "P2P",
-    "RankBreakdown",
-    "cycles_breakdown",
-    "label",
-    "split_breakdown",
     "GEOMETRY_50HR",
     "GEOMETRY_400HR",
     "ModelGeometry",

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Generator
 
-from repro.dist.timeline import COMPUTE, P2P, label
 from repro.faults import FaultRecoveryError
+from repro.obs.attrib import COMPUTE, P2P, label
 from repro.vmpi.collectives import bcast, reduce, serial_bcast
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, RankCtx, RecvTimeoutError
 from repro.vmpi.costmodel import PayloadStub

@@ -30,9 +30,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.dist.timeline import COLL, COMPUTE, label
 from repro.hf.types import HFResult
 from repro.nn.parallel_sgd import exposed_comm_model
+from repro.obs.attrib import COLL, COMPUTE, label
 from repro.util.rng import spawn
 from repro.vmpi.collcost import bcast_cost, collective_params, reduce_cost
 

@@ -13,7 +13,7 @@ What this reproduces (and what the tests assert):
 
 * Fig 1(a)/(b): end-to-end time per ``ranks-rpn-threads`` configuration;
 * Figs 2-5: per-rank per-function compute/collective/p2p breakdowns,
-  convertible to cycle categories via :mod:`repro.dist.timeline`;
+  convertible to cycle categories via :mod:`repro.harness.breakdown`;
 * the LB ablation: ``partitioner="naive"`` vs ``"balanced"``;
 * the COMM ablation: ``bcast_algorithm="serial"`` (socket-style) vs
   ``"binomial"`` (MPI_Bcast);
@@ -35,9 +35,18 @@ from repro.bgq.node import RunShape
 from repro.dist.exchange import CollectiveExchange, RecoveringExchange, SimWire, worker_program
 from repro.dist.partition import balanced_partition, naive_partition
 from repro.dist.script import IterationScript, Phase, Schedule, default_script
-from repro.dist.timeline import COMPUTE, P2P, RankBreakdown, label, split_breakdown
 from repro.dist.workload import SimWorkload
 from repro.faults import FaultInjector, FaultPlan, FaultPolicy, RecoveryLog
+from repro.obs.attrib import (
+    COMPUTE,
+    P2P,
+    RankBreakdown,
+    attribute_run,
+    label,
+    mean_label_totals,
+    split_breakdown,
+    worker_sample,
+)
 from repro.sim.trace import Tracer
 from repro.speech.hmm import HmmSpec
 from repro.util.rng import spawn
@@ -235,20 +244,8 @@ class SimRunResult:
 
     def mean_worker_breakdown(self, sample: int = 16) -> RankBreakdown:
         """Average breakdown over an evenly spaced sample of workers."""
-        ranks = np.linspace(
-            1, self.config.shape.ranks - 1, min(sample, self.config.n_workers)
-        ).astype(int)
-        acc = RankBreakdown()
-        for r in ranks:
-            b = self.breakdown(int(r))
-            for d_acc, d in (
-                (acc.compute, b.compute),
-                (acc.collective, b.collective),
-                (acc.p2p, b.p2p),
-            ):
-                for k, v in d.items():
-                    d_acc[k] = d_acc.get(k, 0.0) + v / len(ranks)
-        return acc
+        ranks = worker_sample(self.config.shape.ranks, sample)
+        return split_breakdown(mean_label_totals(self.tracer, ranks))
 
     def attribution(self, ranks: "list[int] | None" = None):
         """Exact per-rank time attribution (:mod:`repro.obs.attrib`).
@@ -257,8 +254,6 @@ class SimRunResult:
         straggler, and an evenly spaced worker sample are attributed
         (full enumeration at 100k ranks is pointless in a report).
         """
-        from repro.obs.attrib import attribute_run, worker_sample
-
         if ranks is None:
             p = self.config.shape.ranks
             picked = [0] + worker_sample(p)

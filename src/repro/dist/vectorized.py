@@ -64,7 +64,7 @@ from repro.cluster.ethernet import EthernetNetworkModel
 from repro.dist.exchange import SEGMENT_BYTES
 from repro.dist.script import Schedule
 from repro.dist.simulated import IO_AGGREGATE_BANDWIDTH
-from repro.dist.timeline import COMPUTE, P2P, label
+from repro.obs.attrib import COMPUTE, P2P, label
 from repro.sim.engine import VectorPhase
 from repro.util.rng import spawn
 from repro.vmpi.collectives import binomial_levels

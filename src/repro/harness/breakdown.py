@@ -6,7 +6,8 @@ The paper profiles the three one-rack configurations (1024-1-64,
 function (Figs 2-3) and (ii) MPI time split into collective and
 point-to-point per function (Figs 4-5).  These drivers rerun the
 simulated trainer per configuration and organize the tracer output into
-exactly those views.
+exactly those views; :func:`cycles_breakdown` maps a rank's compute
+labels through the BG/Q cycle model into counter categories.
 """
 
 from __future__ import annotations
@@ -17,13 +18,47 @@ from repro.bgq.cycles import CycleCategories, CycleModel
 from repro.bgq.node import RunShape
 from repro.dist.script import IterationScript
 from repro.dist.simulated import SimJobConfig, SimRunResult, simulate_training
-from repro.dist.timeline import RankBreakdown, cycles_breakdown, ordered_sum
 from repro.dist.workload import SimWorkload
+from repro.obs.attrib import RankBreakdown, ordered_sum, worker_sample
 
-__all__ = ["BREAKDOWN_CONFIGS", "ConfigBreakdown", "run_breakdowns"]
+__all__ = ["BREAKDOWN_CONFIGS", "ConfigBreakdown", "cycles_breakdown", "run_breakdowns"]
 
 BREAKDOWN_CONFIGS = ("1024-1-64", "2048-2-32", "4096-4-16")
 """The three panels of each of Figures 2-5."""
+
+# function label -> BG/Q kernel class for cycle accounting
+COMPUTE_KERNEL_CLASS: dict[str, str] = {
+    "gradient_loss": "gemm",
+    "worker_curvature_product": "gemm",
+    "heldout_loss": "gemm",
+    "cg_minimize": "elementwise",  # master's vector arithmetic
+    "hf_master": "control",
+    "load_data": "io",
+}
+
+
+def cycles_breakdown(
+    breakdown: RankBreakdown,
+    threads_per_core: int,
+    model: CycleModel | None = None,
+) -> dict[str, CycleCategories]:
+    """Per-function hardware-counter categories (Figs 2-3).
+
+    Compute functions classify per :data:`COMPUTE_KERNEL_CLASS`; all MPI
+    time (collective + p2p) classifies as ``mpi_wait`` under its function
+    name prefixed ``mpi:`` so the figure can stack them side by side.
+    """
+    model = model or CycleModel()
+    out: dict[str, CycleCategories] = {}
+    for fn, secs in breakdown.compute.items():
+        kclass = COMPUTE_KERNEL_CLASS.get(fn, "control")
+        out[fn] = model.split(secs, kclass, threads_per_core)
+    for source in (breakdown.collective, breakdown.p2p):
+        for fn, secs in source.items():
+            key = f"mpi:{fn}"
+            cats = model.split(secs, "mpi_wait", threads_per_core)
+            out[key] = out[key] + cats if key in out else cats
+    return out
 
 
 @dataclass
@@ -49,17 +84,11 @@ class ConfigBreakdown:
         return ordered_sum(self.master.p2p)
 
 
-def _worker_spread(
-    res: SimRunResult, sample: int = 32
-) -> dict[str, tuple[float, float]]:
-    import numpy as np
-
-    n_workers = res.config.n_workers
-    ranks = np.linspace(1, res.config.shape.ranks - 1, min(sample, n_workers)).astype(int)
+def _worker_spread(res: SimRunResult) -> dict[str, tuple[float, float]]:
     lows: dict[str, float] = {}
     highs: dict[str, float] = {}
-    for r in ranks:
-        b = res.breakdown(int(r))
+    for r in worker_sample(res.config.shape.ranks, 32):
+        b = res.breakdown(r)
         for fn, secs in b.compute.items():
             lows[fn] = min(lows.get(fn, secs), secs)
             highs[fn] = max(highs.get(fn, secs), secs)

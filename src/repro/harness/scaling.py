@@ -12,9 +12,9 @@ from repro.bgq.network import TorusNetworkModel
 from repro.bgq.node import RunShape
 from repro.dist.script import IterationScript
 from repro.dist.simulated import SimJobConfig, SimRunResult, simulate_training
-from repro.dist.timeline import RankBreakdown
 from repro.dist.workload import GEOMETRY_50HR, GEOMETRY_400HR, ModelGeometry, SimWorkload
 from repro.faults import FaultPlan, FaultPolicy
+from repro.obs.attrib import RankBreakdown
 from repro.speech.corpus import FRAMES_PER_HOUR
 from repro.util.rng import derive_seed
 from repro.vmpi.algoselect import CollectivePolicy

@@ -1,20 +1,22 @@
-"""Exact per-rank time attribution: every virtual second accounted for.
+"""Span labels and what they mean: breakdowns and exact attribution.
 
-The paper's scaling argument (Fig. 4's compute-vs-communication
-counter-flow as partitions grow) needs more than raw span dumps: it
-needs each rank's ``finish_time`` split into *where the time went*.
-This module folds a rank's span totals (:meth:`repro.sim.trace.Tracer.
-totals`) into four categories —
+Rank programs label their phase-level spans ``<kind>.<function>``
+(:func:`label`): ``compute.*`` is modeled computation,
+``coll.*`` time inside a collective (including straggler wait), and
+``p2p.*`` time in point-to-point calls.  Undotted labels (raw
+``mpi_send``/``mpi_recv`` from ``trace_p2p`` runs, ``fault_slowdown``
+overlays) overlap those spans on the same rank and would double-count,
+so :func:`split_label` returns None for them and every reading here
+skips them.  Two readings of a rank's span totals
+(:meth:`repro.sim.trace.Tracer.totals`):
 
-* ``compute`` — modeled computation (``compute.*`` labels);
-* ``comm``    — collective + point-to-point time, including the
-  straggler wait that is *inside* a collective span (``coll.*`` /
-  ``p2p.*`` labels);
-* ``recovery`` — fault-policy recovery charges
-  (``compute.master_restart``);
-* ``wait``   — everything the rank's spans do not cover: idle time
-  before its first span, gaps, and the tail between its own finish and
-  the run's ``Engine.finish_time``.
+* :func:`split_breakdown` — seconds per (kind, function), the Figs 2-5
+  views (:mod:`repro.harness.breakdown` maps them to cycle counters);
+* :func:`attribute_rank` — the rank's ``finish_time`` split into
+  ``compute``, ``comm`` (``coll.*`` + ``p2p.*``), ``recovery``
+  (``compute.master_restart``) and ``wait``: everything the spans do
+  not cover, up to the run's ``Engine.finish_time`` — the Fig. 4
+  counter-flow argument.
 
 The headline invariant (pinned by tests/test_obs_attrib.py) is
 **exactness**: ``compute + comm + recovery + wait == finish_time``
@@ -24,39 +26,46 @@ float rounding — a tiny *negative* wait (a few ulps) is legal and means
 the tracked categories alone already overshoot the finish time by
 accumulated rounding.
 
-Labels without a ``.`` separator (raw ``mpi_send``/``mpi_recv`` from
-``trace_p2p`` runs, ``fault_slowdown`` degradation overlays) are
-*excluded*: they overlap the structured phase spans on the same rank
-and would double-count — the same rule :func:`repro.dist.timeline.
-split_breakdown` applies.
-
-Because the fold consumes per-rank label totals only — bit-identical
+Because the folds consume per-rank label totals only — bit-identical
 between the scalar scheduler and the vectorized SPMD path (DESIGN.md
-§6e) — attribution is automatically bit-identical across both, which
+§6e) — every reading is bit-identical across both, which
 tests/test_obs_attrib.py asserts directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 __all__ = [
+    "COMPUTE",
+    "COLL",
+    "P2P",
     "CATEGORIES",
     "PHASES",
     "RankAttribution",
+    "RankBreakdown",
     "RunAttribution",
     "attribute_rank",
     "attribute_run",
     "category_of",
     "exact_residual",
+    "label",
     "mean_label_totals",
+    "ordered_sum",
     "phase_flow_rows",
     "phase_of",
     "phase_records",
+    "split_breakdown",
+    "split_label",
     "worker_sample",
 ]
+
+COMPUTE = "compute"
+COLL = "coll"
+P2P = "p2p"
+"""Span kinds: the ``<kind>`` of a ``<kind>.<function>`` label."""
 
 CATEGORIES = ("compute", "comm", "recovery", "wait")
 """Attribution categories, in the fold order of :attr:`RankAttribution.total`."""
@@ -66,14 +75,6 @@ PHASES = ("load", "sync", "gradient", "cg", "linesearch", "recovery", "other")
 
 _RECOVERY_FUNCTIONS = frozenset({"master_restart"})
 """Span functions charged to ``recovery`` regardless of label kind."""
-
-# Kind prefixes mirror repro.dist.timeline's COMPUTE/COLL/P2P.  They are
-# spelled out (and pinned equal by tests) rather than imported: importing
-# repro.dist here would close the cycle obs -> dist -> nn -> util.logging
-# -> obs.fmt -> obs.__init__.
-_KIND_COMPUTE = "compute"
-_KIND_COLL = "coll"
-_KIND_P2P = "p2p"
 
 _PHASE_OF_FUNCTION = {
     "load_data": "load",
@@ -94,31 +95,80 @@ _PHASE_OF_FUNCTION = {
 (e.g. the fault protocol's ``ft_collect`` dispatch/collect envelope)."""
 
 
-def category_of(label: str) -> str | None:
-    """Attribution category for a span label, or None if excluded.
+def label(kind: str, function: str) -> str:
+    """Compose a span label, e.g. ``label(COLL, "sync_weights_master")``."""
+    if kind not in (COMPUTE, COLL, P2P):
+        raise ValueError(f"unknown span kind {kind!r}")
+    return f"{kind}.{function}"
 
-    Undotted labels (per-message ``mpi_send``/``mpi_recv``, the
-    ``fault_slowdown`` overlay) overlap structured phase spans and are
-    excluded to avoid double counting.
-    """
-    if "." not in label:
+
+def split_label(lbl: str) -> tuple[str, str] | None:
+    """``(kind, function)`` of a span label, or None for an undotted one."""
+    kind, dot, function = lbl.partition(".")
+    return (kind, function) if dot else None
+
+
+def category_of(lbl: str) -> str | None:
+    """Attribution category for a span label, or None if excluded."""
+    parts = split_label(lbl)
+    if parts is None:
         return None
-    kind, function = label.split(".", 1)
+    kind, function = parts
     if function in _RECOVERY_FUNCTIONS:
         return "recovery"
-    if kind == _KIND_COMPUTE:
+    if kind == COMPUTE:
         return "compute"
-    if kind in (_KIND_COLL, _KIND_P2P):
+    if kind in (COLL, P2P):
         return "comm"
     return None
 
 
-def phase_of(label: str) -> str | None:
+def phase_of(lbl: str) -> str | None:
     """Protocol phase for a span label (None for excluded labels)."""
-    if "." not in label:
+    parts = split_label(lbl)
+    if parts is None:
         return None
-    _kind, function = label.split(".", 1)
-    return _PHASE_OF_FUNCTION.get(function, "other")
+    return _PHASE_OF_FUNCTION.get(parts[1], "other")
+
+
+def ordered_sum(d: dict[str, float]) -> float:
+    """Fold float values in sorted-key order: bitwise reproducible no
+    matter the dict's (per-rank, arrival-dependent) insertion order."""
+    return sum(d[k] for k in sorted(d))
+
+
+@dataclass
+class RankBreakdown:
+    """One rank's time, split by (kind, function)."""
+
+    compute: dict[str, float] = field(default_factory=dict)
+    collective: dict[str, float] = field(default_factory=dict)
+    p2p: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def total_compute(self) -> float:
+        return ordered_sum(self.compute)
+
+    @property
+    def total_mpi(self) -> float:
+        return ordered_sum(self.collective) + ordered_sum(self.p2p)
+
+    @property
+    def total(self) -> float:
+        return self.total_compute + self.total_mpi
+
+
+def split_breakdown(span_totals: dict[str, float]) -> RankBreakdown:
+    """Partition a rank's per-label totals by label kind."""
+    out = RankBreakdown()
+    by_kind = {COMPUTE: out.compute, COLL: out.collective, P2P: out.p2p}
+    for lbl, secs in span_totals.items():
+        parts = split_label(lbl)
+        if parts is None or parts[0] not in by_kind:
+            continue
+        d = by_kind[parts[0]]
+        d[parts[1]] = d.get(parts[1], 0.0) + secs
+    return out
 
 
 def exact_residual(total: float, tracked: float) -> float:
@@ -260,7 +310,7 @@ def attribute_run(result: Any, ranks: Iterable[int] | None = None) -> RunAttribu
 
 # --------------------------------------------------- counter-flow breakdown
 def worker_sample(ranks: int, sample: int = 16) -> list[int]:
-    """Evenly spaced worker-rank sample (mirrors ``mean_worker_breakdown``)."""
+    """Evenly spaced sample of at most ``sample`` worker ranks."""
     import numpy as np
 
     n_workers = ranks - 1

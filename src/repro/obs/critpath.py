@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.attrib import PHASES, category_of, phase_of
+from repro.obs.attrib import PHASES, category_of, phase_of, split_label
 
 __all__ = [
     "PathStep",
@@ -199,7 +199,7 @@ def path_from_spans(tracer: Any, finish_time: float) -> CriticalPath:
         m = _RANK_NAME.match(proc)
         if m is None:
             continue
-        dotted = [s for s in spans if "." in s.label]
+        dotted = [s for s in spans if split_label(s.label) is not None]
         if dotted:
             rank_spans[int(m.group(1))] = dotted
     if not rank_spans or finish_time <= 0.0:

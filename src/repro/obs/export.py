@@ -29,6 +29,7 @@ import re
 from pathlib import Path
 from typing import Any
 
+from repro.obs.attrib import phase_of, split_label
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -68,14 +69,8 @@ def phase_windows(tracer: Any) -> list[tuple[str, float, float]]:
     ``(phase, start, end)`` window — the zoom presets the Perfetto
     export renders as a dedicated track.
     """
-    from repro.obs.attrib import phase_of
-
     master = sorted(
-        (
-            s
-            for s in tracer.spans
-            if s.process == "rank0" and "." in s.label
-        ),
+        (s for s in tracer.spans if s.process == "rank0"),
         key=lambda s: (s.start, s.end),
     )
     windows: list[tuple[str, float, float]] = []
@@ -115,7 +110,8 @@ def chrome_trace(
     for span in tracer.spans:
         pid = _pid_of(span.process, fallback_pids, next_pid)
         seen_pids.setdefault(pid, span.process)
-        category = span.label.split(".", 1)[0] if "." in span.label else "span"
+        parts = split_label(span.label)
+        category = "span" if parts is None else parts[0]
         events.append(
             {
                 "name": span.label,

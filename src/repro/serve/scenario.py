@@ -222,7 +222,9 @@ class ServeResult:
             f"  requests: {self.generated} generated, {self.admitted} admitted, "
             f"{self.completed} completed, {self.dropped} dropped, "
             f"{self.timed_out} timed out, {self.failed} failed",
-            f"  latency: p50 {1e3 * self.p50_s:.1f} ms, "
+            "  latency: n/a (no request completed)"
+            if self.completed == 0
+            else f"  latency: p50 {1e3 * self.p50_s:.1f} ms, "
             f"p99 {1e3 * self.p99_s:.1f} ms, p99.9 {1e3 * self.p999_s:.1f} ms",
             f"  throughput: {self.throughput_rps:.2f} rps, "
             f"mean batch {self.mean_batch:.2f}, "

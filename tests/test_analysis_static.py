@@ -701,6 +701,50 @@ class TestDocPaths:
             (3, "repro.gone.module"),
         ]
 
+    MAP = (
+        "```\n"
+        "src/repro/\n"
+        "  dist/           CORE: distributed master/worker HF\n"
+        "    script.py       IterationScript from default_script() (2.9 GHz, IU_empty)\n"
+        "    simulated.py    simulate_training over a VComm\n"
+        "                    and its {extra}\n"
+        "```\n"
+    )
+
+    @pytest.fixture
+    def map_root(self, root):
+        (root / "src/repro/dist/script.py").write_text(
+            "class IterationScript:\n    pass\n\n\ndef default_script():\n    pass\n"
+        )
+        (root / "src/repro/dist/simulated.py").write_text("SimRunResult = None\n")
+        (root / "src/repro/vmpi").mkdir()
+        (root / "src/repro/vmpi/comm.py").write_text("class VComm:\n    pass\n")
+        return root
+
+    def test_module_map_live_rows_pass(self, map_root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        text = self.MAP.format(extra="SimRunResult")
+        assert stale_doc_paths(text, map_root) == []
+
+    def test_module_map_missing_module_is_located(self, map_root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        text = self.MAP.format(extra="SimRunResult").replace("simulated.py", "timeline.py")
+        assert stale_doc_paths(text, map_root) == [(5, "dist/timeline.py")]
+
+    def test_module_map_renamed_class_is_located(self, map_root):
+        from repro.analysis.doc_rules import stale_doc_paths
+
+        text = self.MAP.format(extra="SimRunOutcome and run_sim()")
+        assert stale_doc_paths(text, map_root) == [
+            (6, "SimRunOutcome"),
+            (6, "run_sim()"),
+        ]
+        # the same names outside the fenced map are prose, not rows
+        prose = text.replace("```\nsrc/repro/\n", "```\nrepro/\n")
+        assert stale_doc_paths(prose, map_root) == []
+
     def test_rule_reports_into_this_checkouts_documents(self, monkeypatch):
         """Every lint run reads DESIGN.md and README.md, which are clean."""
         from repro.analysis import doc_rules

@@ -222,6 +222,8 @@ def test_serve_with_every_replica_lost_prints_the_result(tmp_path, capsys, extra
     assert generated == admitted + dropped
     assert admitted == completed + timed_out + failed
     assert "excluded replicas: r" in out
+    assert "latency: n/a (no request completed)" in out
+    assert "nan" not in out
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bgq import CycleModel
-from repro.dist import RankBreakdown, cycles_breakdown, label, split_breakdown
-from repro.dist.timeline import COLL, COMPUTE, P2P
+from repro.harness.breakdown import cycles_breakdown
+from repro.obs.attrib import COLL, COMPUTE, P2P, RankBreakdown, label, split_breakdown
 
 
 def test_label_composition():

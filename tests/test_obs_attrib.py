@@ -36,6 +36,7 @@ from repro.obs.attrib import (
     mean_label_totals,
     phase_flow_rows,
     phase_of,
+    split_label,
     worker_sample,
 )
 from repro.obs.critpath import critical_path, path_from_phase_log
@@ -86,15 +87,10 @@ class TestLabelMaps:
         assert category_of("mpi_send") is None  # overlaps phase spans
         assert category_of("fault_slowdown") is None
 
-    def test_kind_prefixes_match_timeline(self):
-        # attrib spells the kind prefixes out to stay import-cycle-free;
-        # this pins them to the timeline's canonical constants.
-        from repro.dist.timeline import COLL, COMPUTE, P2P
-        from repro.obs import attrib
-
-        assert (attrib._KIND_COMPUTE, attrib._KIND_COLL, attrib._KIND_P2P) == (
-            COMPUTE, COLL, P2P,
-        )
+    def test_split_label_splits_at_the_first_dot(self):
+        assert split_label("coll.sync_weights") == ("coll", "sync_weights")
+        assert split_label("serve.decode.x") == ("serve", "decode.x")
+        assert split_label("mpi_send") is None
 
     def test_phases(self):
         assert phase_of("compute.gradient_loss") == "gradient"

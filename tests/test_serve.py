@@ -277,6 +277,33 @@ def test_every_replica_lost_fails_requests_and_returns(autoscale):
     assert sorted(rep for rep, _at in r.excluded) == [1, 2]
 
 
+def test_autoscaler_recovers_after_every_active_replica_is_excluded():
+    """Replicas 1 and 2, the only active ones, crash at 2 s and are
+    excluded at about 17.3 s and 17.4 s, after the arrivals end.  Until
+    the scaler's next tick every other process is parked; that tick
+    activates the standby replicas, and one decodes the held batch."""
+    cfg = ServeConfig(
+        replicas=4,
+        horizon_s=3.0,
+        seed=1,
+        arrivals=ArrivalSpec(rate=4.0),
+        autoscale=AutoscalePolicy(min_replicas=2, interval_s=0.5, warmup_s=0.5),
+        fault_plan=FaultPlan(events=(NodeCrash(1, 2.0), NodeCrash(2, 2.0))),
+    )
+    r = simulate_serving(cfg, trace=True)
+    assert {rep for rep, _at in r.excluded} == {1, 2}
+    assert r.scale_ups >= 1
+    last_exclusion = max(at for _rep, at in r.excluded)
+    assert any(
+        s.label == "serve.decode"
+        and s.process not in ("rank1", "rank2")
+        and s.start > last_exclusion
+        for s in r.tracer.spans
+    )
+    assert r.generated == r.admitted + r.dropped
+    assert r.admitted == r.completed + r.timed_out + r.failed
+
+
 # ------------------------------------------------------------- validation
 def test_serve_config_validation():
     with pytest.raises(ValueError):

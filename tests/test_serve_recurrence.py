@@ -124,8 +124,8 @@ def test_every_other_run_takes_the_des():
 # ------------------------------------------------------------ conservation
 @st.composite
 def _any_configs(draw):
-    """Crash-free configs, plus autoscaling and crashes of all but one
-    replica (a run with every replica crashed cannot drain)."""
+    """Crash-free configs, plus autoscaling and crashes of any set of
+    replicas, every one included."""
     cfg = draw(_crash_free_configs())
     if draw(st.booleans()):
         scaler = AutoscalePolicy(
@@ -134,9 +134,9 @@ def _any_configs(draw):
             warmup_s=draw(st.sampled_from([0.0, 0.5])),
         )
         cfg = replace(cfg, autoscale=scaler)
-    if cfg.replicas > 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         victims = draw(
-            st.lists(st.integers(1, cfg.replicas), max_size=cfg.replicas - 1, unique=True)
+            st.lists(st.integers(1, cfg.replicas), max_size=cfg.replicas, unique=True)
         )
         at = st.floats(0.0, cfg.horizon_s)
         crashes = tuple(NodeCrash(rank=r, at=draw(at)) for r in victims)
